@@ -20,7 +20,6 @@
 //! - [`CsrMatrix`] / [`Triplets`] — compressed sparse row storage
 //! - [`solve_cg`] / [`solve_bicgstab`] — preconditioned Krylov solvers
 //! - [`JacobiPreconditioner`] / [`Ilu0Preconditioner`] — preconditioners
-//! - [`gauss_seidel`] / [`sor`] — stationary smoothers
 //!
 //! # Examples
 //!
@@ -44,12 +43,10 @@ mod lu;
 mod precond;
 mod sell;
 mod sparse;
-mod stationary;
-mod tridiag;
 
 pub use cholesky::CholeskyFactor;
 pub use dense::{vector, Matrix};
-pub use eigen::{largest_eigenvalue, smallest_eigenvalue, sym_eigen, EigenParams};
+pub use eigen::{smallest_eigenvalue, sym_eigen, EigenParams};
 pub use error::LinalgError;
 pub use fallback::{solve_dense_chain, DenseMethod, DenseSolve};
 pub use iterative::{solve_bicgstab, solve_cg, solve_cg_mixed, IterativeParams, IterativeSummary};
@@ -59,5 +56,3 @@ pub use precond::{
 };
 pub use sell::SellMatrix;
 pub use sparse::{CsrMatrix, Triplets};
-pub use stationary::{gauss_seidel, sor, StationaryParams, StationarySummary};
-pub use tridiag::Tridiagonal;

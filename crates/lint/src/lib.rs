@@ -29,7 +29,6 @@ pub mod lexer;
 pub mod parser;
 pub mod resolve;
 pub mod rules;
-pub mod sarif;
 pub mod semantic;
 
 pub use baseline::BaselineEntry;

@@ -1,17 +1,16 @@
 //! The `oftec-lint` binary: CI gate and developer tool.
 //!
 //! ```text
-//! oftec-lint [--root DIR] [--format human|json|sarif] [--deny all|L001,L005]
+//! oftec-lint [--root DIR] [--format human|json] [--deny all|L001,L005]
 //!            [--baseline PATH] [--update-baseline] [--list-rules]
-//!            [--threads N] [--no-cache] [--cache PATH] [--sarif-out PATH]
-//!            [--telemetry-json PATH]
+//!            [--threads N] [--no-cache] [--cache PATH] [--telemetry-json PATH]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 denied findings or stale baseline entries,
 //! 2 usage or I/O error.
 
 use oftec_lint::{
-    baseline, cache, render_human, render_jsonl, run, sarif, DenySet, RunConfig, Status, RULES,
+    baseline, cache, render_human, render_jsonl, run, DenySet, RunConfig, Status, RULES,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -19,7 +18,6 @@ use std::process::ExitCode;
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Args {
@@ -32,7 +30,6 @@ struct Args {
     threads: Option<usize>,
     no_cache: bool,
     cache: Option<PathBuf>,
-    sarif_out: Option<PathBuf>,
     telemetry_json: Option<String>,
 }
 
@@ -47,7 +44,6 @@ fn parse_args() -> Result<Args, String> {
         threads: None,
         no_cache: false,
         cache: None,
-        sarif_out: None,
         telemetry_json: None,
     };
     let mut it = std::env::args().skip(1);
@@ -68,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
                 args.format = match value("--format")?.as_str() {
                     "json" => Format::Json,
                     "human" => Format::Human,
-                    "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format `{other}`")),
                 };
             }
@@ -81,15 +76,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-cache" => args.no_cache = true,
             "--cache" => args.cache = Some(PathBuf::from(value("--cache")?)),
-            "--sarif-out" => args.sarif_out = Some(PathBuf::from(value("--sarif-out")?)),
             "--list-rules" => args.list_rules = true,
             "--update-baseline" => args.update_baseline = true,
             "--telemetry-json" => args.telemetry_json = Some(value("--telemetry-json")?),
             "--help" | "-h" => {
                 println!(
-                    "usage: oftec-lint [--root DIR] [--format human|json|sarif] \
+                    "usage: oftec-lint [--root DIR] [--format human|json] \
                      [--deny all|L001,...] [--baseline PATH] [--update-baseline] \
-                     [--threads N] [--no-cache] [--cache PATH] [--sarif-out PATH] \
+                     [--threads N] [--no-cache] [--cache PATH] \
                      [--list-rules] [--telemetry-json PATH]"
                 );
                 std::process::exit(0);
@@ -193,16 +187,8 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(path) = &args.sarif_out {
-        if let Err(e) = std::fs::write(path, sarif::render(&report, &args.deny)) {
-            eprintln!("oftec-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-
     match args.format {
         Format::Json => print!("{}", render_jsonl(&report)),
-        Format::Sarif => print!("{}", sarif::render(&report, &args.deny)),
         Format::Human => print!("{}", render_human(&report, &args.deny)),
     }
 

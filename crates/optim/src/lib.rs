@@ -63,7 +63,7 @@ pub use interior::InteriorPoint;
 pub use linesearch::backtrack;
 pub use multistart::{grid_starts, multistart};
 pub use neldermead::NelderMead;
-pub use numdiff::{central_gradient, forward_gradient};
+pub use numdiff::central_gradient;
 pub use problem::{unconstrained, FnProblem, NlpProblem, PENALTY_OBJECTIVE};
 pub use qp::{solve_qp, QpError};
 pub use sqp::ActiveSetSqp;

@@ -50,46 +50,6 @@ where
     g
 }
 
-/// Forward-difference gradient given the already-known value `f0 = f(x)`;
-/// cheaper than [`central_gradient`] (n evaluations instead of 2n).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree.
-pub fn forward_gradient<F>(
-    f: F,
-    x: &[f64],
-    f0: f64,
-    lo: &[f64],
-    hi: &[f64],
-    penalty: f64,
-    evals: &mut usize,
-) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> Option<f64>,
-{
-    assert_eq!(x.len(), lo.len(), "bound length mismatch");
-    assert_eq!(x.len(), hi.len(), "bound length mismatch");
-    let n = x.len();
-    let mut g = vec![0.0; n];
-    let mut xp = x.to_vec();
-    for i in 0..n {
-        let h = step_size(x[i], hi[i] - lo[i]);
-        // Step backward when forward would leave the box.
-        let (xi, sign) = if x[i] + h <= hi[i] {
-            (x[i] + h, 1.0)
-        } else {
-            (x[i] - h, -1.0)
-        };
-        xp[i] = xi;
-        let fi = f(&xp).unwrap_or(penalty);
-        xp[i] = x[i];
-        *evals += 1;
-        g[i] = sign * (fi - f0) / h;
-    }
-    g
-}
-
 /// Relative step: `∛ε · max(|x|, 1% of range, tiny)`.
 fn step_size(x: f64, range: f64) -> f64 {
     let scale = x.abs().max(0.01 * range.abs()).max(1e-6);
@@ -110,21 +70,6 @@ mod tests {
         assert!((g[0] - 2.0).abs() < 1e-6);
         assert!((g[1] + 2.0).abs() < 1e-6);
         assert_eq!(evals, 4);
-    }
-
-    #[test]
-    fn forward_gradient_close_to_central() {
-        let f = |x: &[f64]| Some((x[0] - 0.3).powi(2) + (x[1] + 0.7).powi(2));
-        let x = [0.5, 0.5];
-        let f0 = f(&x).unwrap();
-        let mut e1 = 0;
-        let mut e2 = 0;
-        let gc = central_gradient(f, &x, &[-1.0, -1.0], &[1.0, 1.0], 1e9, &mut e1);
-        let gf = forward_gradient(f, &x, f0, &[-1.0, -1.0], &[1.0, 1.0], 1e9, &mut e2);
-        for (a, b) in gc.iter().zip(&gf) {
-            assert!((a - b).abs() < 1e-4);
-        }
-        assert!(e2 < e1);
     }
 
     #[test]

@@ -22,9 +22,6 @@
 //!   --burst-mult <f>      burst rate multiplier (default 4.0)
 //!   --drivers <n>         driver threads multiplexing the open-loop
 //!                         connections (default 4, capped at connections)
-//!   --wire <ndjson|binary>
-//!                         request encoding (default ndjson); responses
-//!                         carry identical envelope bytes either way
 //!   --deadline-ms <ms>    attach a per-request deadline budget (0: none)
 //!   --key-reuse <f>       fraction of requests drawn from the hot-key set
 //!                         (default 0.5 — at least half the traffic should
@@ -51,8 +48,6 @@
 //! `BENCH_serve.json`.
 
 use oftec_power::Benchmark;
-use oftec_serve::wire;
-use oftec_serve::{SolveKind, SolveSpec};
 use serde::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -87,21 +82,6 @@ impl Rng {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WireFmt {
-    Ndjson,
-    Binary,
-}
-
-impl WireFmt {
-    fn name(self) -> &'static str {
-        match self {
-            WireFmt::Ndjson => "ndjson",
-            WireFmt::Binary => "binary",
-        }
-    }
-}
-
 #[derive(Clone)]
 struct Config {
     addr: String,
@@ -112,12 +92,10 @@ struct Config {
     burst_requests: usize,
     burst_mult: f64,
     drivers: usize,
-    wire: WireFmt,
     deadline_ms: u64,
     key_reuse: f64,
     hot_keys: usize,
     benchmark: String,
-    bench: Benchmark,
     mixed: bool,
     seed: u64,
     out: String,
@@ -135,12 +113,10 @@ impl Default for Config {
             burst_requests: 0,
             burst_mult: 4.0,
             drivers: 4,
-            wire: WireFmt::Ndjson,
             deadline_ms: 0,
             key_reuse: 0.5,
             hot_keys: 8,
             benchmark: "qsort".into(),
-            bench: Benchmark::Quicksort,
             mixed: true,
             seed: 1,
             out: "BENCH_serve.json".into(),
@@ -195,13 +171,6 @@ fn parse_args() -> Result<Config, String> {
                 }
             }
             "--drivers" => config.drivers = num(&value("--drivers")?)?.max(1) as usize,
-            "--wire" => {
-                config.wire = match value("--wire")?.as_str() {
-                    "ndjson" => WireFmt::Ndjson,
-                    "binary" => WireFmt::Binary,
-                    other => return Err(format!("--wire: `{other}` is not ndjson|binary")),
-                };
-            }
             "--deadline-ms" => config.deadline_ms = num(&value("--deadline-ms")?)?,
             "--key-reuse" => {
                 config.key_reuse = value("--key-reuse")?
@@ -229,7 +198,7 @@ fn parse_args() -> Result<Config, String> {
     if config.addr.is_empty() {
         return Err("--addr <host:port> is required".into());
     }
-    config.bench = Benchmark::from_name(&config.benchmark)
+    Benchmark::from_name(&config.benchmark)
         .ok_or(format!("--benchmark: unknown `{}`", config.benchmark))?;
     Ok(config)
 }
@@ -272,9 +241,7 @@ fn classify(err_kind: Option<&str>) -> ErrClass {
         None => ErrClass::Ok,
         Some("overloaded" | "shutting_down") => ErrClass::Shed,
         Some("deadline_exceeded") => ErrClass::DeadlineExceeded,
-        Some(
-            "bad_request" | "unknown_benchmark" | "line_too_long" | "bad_frame" | "frame_too_long",
-        ) => ErrClass::Rejected,
+        Some("bad_request" | "unknown_benchmark" | "line_too_long") => ErrClass::Rejected,
         Some(_) => ErrClass::Failed,
     }
 }
@@ -288,20 +255,18 @@ enum ErrClass {
     Failed,
 }
 
-/// What one generated request is, independent of wire encoding.
+/// What one generated request is.
 enum ReqShape {
     /// A valid steady solve at this operating point.
     Point { rpm: f64, amps: f64 },
-    /// Deliberately unparseable (NDJSON: broken JSON; binary: corrupt
-    /// reserved byte → `bad_frame`).
+    /// Deliberately unparseable (broken JSON → `bad_request`).
     Malformed,
     /// Valid framing, unknown workload (`unknown_benchmark`).
     Unknown,
 }
 
 /// The hot-key operating points: a deterministic fan of plausible
-/// (rpm, amps) settings each worker reuses. One decimal of rpm
-/// resolution keeps the NDJSON and binary encodings cache-compatible.
+/// (rpm, amps) settings each worker reuses.
 fn shape_for(config: &Config, rng: &mut Rng, i: usize) -> ReqShape {
     if config.mixed && i % 13 == 5 {
         return ReqShape::Malformed;
@@ -323,57 +288,25 @@ fn shape_for(config: &Config, rng: &mut Rng, i: usize) -> ReqShape {
     }
 }
 
-/// Encodes one request for the configured wire, ready to write.
+/// Encodes one request as an NDJSON line, ready to write.
 fn encode_request(config: &Config, shape: &ReqShape) -> Vec<u8> {
-    match config.wire {
-        WireFmt::Ndjson => {
-            let mut line = match shape {
-                ReqShape::Malformed => "{not json at all".to_string(),
-                ReqShape::Unknown => {
-                    r#"{"cmd":"steady","benchmark":"no-such-workload"}"#.to_string()
-                }
-                ReqShape::Point { rpm, amps } => {
-                    let b = &config.benchmark;
-                    if config.deadline_ms > 0 {
-                        format!(
-                            r#"{{"cmd":"steady","benchmark":"{b}","rpm":{rpm},"amps":{amps},"deadline_ms":{}}}"#,
-                            config.deadline_ms
-                        )
-                    } else {
-                        format!(r#"{{"cmd":"steady","benchmark":"{b}","rpm":{rpm},"amps":{amps}}}"#)
-                    }
-                }
-            };
-            line.push('\n');
-            line.into_bytes()
-        }
-        WireFmt::Binary => {
-            let spec = |rpm: f64, amps: f64| SolveSpec {
-                kind: SolveKind::Steady,
-                benchmark: config.bench,
-                scale: 1.0,
-                rpm,
-                amps,
-                omega_points: 0,
-                current_points: 0,
-                no_cache: false,
-                deadline_ms: (config.deadline_ms > 0).then_some(config.deadline_ms),
-            };
-            match shape {
-                ReqShape::Point { rpm, amps } => wire::encode_solve_frame(None, &spec(*rpm, *amps)),
-                ReqShape::Malformed => {
-                    let mut frame = wire::encode_solve_frame(None, &spec(3000.0, 1.0));
-                    frame[wire::FRAME_HEADER_LEN + 3] = 0x5A; // reserved byte: bad_frame
-                    frame
-                }
-                ReqShape::Unknown => {
-                    let mut frame = wire::encode_solve_frame(None, &spec(3000.0, 1.0));
-                    frame[wire::FRAME_HEADER_LEN + 2] = 255; // benchmark index: unknown
-                    frame
-                }
+    let mut line = match shape {
+        ReqShape::Malformed => "{not json at all".to_string(),
+        ReqShape::Unknown => r#"{"cmd":"steady","benchmark":"no-such-workload"}"#.to_string(),
+        ReqShape::Point { rpm, amps } => {
+            let b = &config.benchmark;
+            if config.deadline_ms > 0 {
+                format!(
+                    r#"{{"cmd":"steady","benchmark":"{b}","rpm":{rpm},"amps":{amps},"deadline_ms":{}}}"#,
+                    config.deadline_ms
+                )
+            } else {
+                format!(r#"{{"cmd":"steady","benchmark":"{b}","rpm":{rpm},"amps":{amps}}}"#)
             }
         }
-    }
+    };
+    line.push('\n');
+    line.into_bytes()
 }
 
 /// Fast-path response classification by substring — full JSON parsing of
@@ -445,19 +378,13 @@ fn worker(config: &Config, conn_id: usize, run_start: Instant) -> Result<Vec<Sam
         writer
             .write_all(&bytes)
             .map_err(|e| format!("write: {e}"))?;
-        let body = match config.wire {
-            WireFmt::Ndjson => {
-                let mut response = String::new();
-                let n = reader
-                    .read_line(&mut response)
-                    .map_err(|e| format!("read: {e}"))?;
-                if n == 0 {
-                    return Err("server closed the connection mid-run".into());
-                }
-                response
-            }
-            WireFmt::Binary => read_frame(&mut reader)?,
-        };
+        let mut body = String::new();
+        let n = reader
+            .read_line(&mut body)
+            .map_err(|e| format!("read: {e}"))?;
+        if n == 0 {
+            return Err("server closed the connection mid-run".into());
+        }
         let done = Instant::now();
         let micros = u64::try_from(done.duration_since(started).as_micros()).unwrap_or(u64::MAX);
         let (ok, cached, err_kind) = classify_body(&body);
@@ -483,23 +410,6 @@ fn worker(config: &Config, conn_id: usize, run_start: Instant) -> Result<Vec<Sam
 
 fn rel_us(base: Instant, t: Instant) -> u64 {
     u64::try_from(t.duration_since(base).as_micros()).unwrap_or(u64::MAX)
-}
-
-/// Blocking read of one binary response frame's JSON body.
-fn read_frame<R: Read>(reader: &mut R) -> Result<String, String> {
-    let mut header = [0u8; wire::FRAME_HEADER_LEN];
-    reader
-        .read_exact(&mut header)
-        .map_err(|e| format!("frame header: {e}"))?;
-    if header[0] != wire::FRAME_MAGIC || header[1] != wire::FRAME_VERSION {
-        return Err("bad response frame header".into());
-    }
-    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-    let mut body = vec![0u8; len];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| format!("frame body: {e}"))?;
-    String::from_utf8(body).map_err(|_| "frame body is not UTF-8".into())
 }
 
 /// One open-loop connection: a nonblocking socket with its own injection
@@ -653,11 +563,10 @@ impl OpenConn {
         }
         // Resolve complete responses against the pending FIFO.
         let mut consumed = 0;
-        while let Some(body_range) = next_response(&self.rbuf[consumed..], config.wire) {
-            let (skip, len) = body_range;
-            let body = String::from_utf8_lossy(&self.rbuf[consumed + skip..consumed + skip + len])
-                .into_owned();
-            consumed += skip + len;
+        while let Some(pos) = self.rbuf[consumed..].iter().position(|&b| b == b'\n') {
+            let len = pos + 1;
+            let body = String::from_utf8_lossy(&self.rbuf[consumed..consumed + len]).into_owned();
+            consumed += len;
             let Some((sched_us, phase)) = self.pending.pop_front() else {
                 self.fail("response without a matching request".into());
                 return true;
@@ -694,21 +603,6 @@ impl OpenConn {
             self.done = true;
         }
         active
-    }
-}
-
-/// Locates the next complete response in `buf`: returns
-/// `(header_skip, body_len)` — the body is `buf[skip..skip+len]`.
-fn next_response(buf: &[u8], wire_fmt: WireFmt) -> Option<(usize, usize)> {
-    match wire_fmt {
-        WireFmt::Ndjson => buf.iter().position(|&b| b == b'\n').map(|pos| (0, pos + 1)),
-        WireFmt::Binary => {
-            if buf.len() < wire::FRAME_HEADER_LEN {
-                return None;
-            }
-            let len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-            (buf.len() >= wire::FRAME_HEADER_LEN + len).then_some((wire::FRAME_HEADER_LEN, len))
-        }
     }
 }
 
@@ -1057,7 +951,7 @@ fn main() -> ExitCode {
 
     let report = format!(
         "{{\n  \"config\": {{\"addr\":\"{}\",\"connections\":{},\"requests_per_connection\":{},\
-         \"rps\":{},\"open_rps\":{},\"burst_requests\":{},\"burst_mult\":{},\"wire\":\"{}\",\
+         \"rps\":{},\"open_rps\":{},\"burst_requests\":{},\"burst_mult\":{},\
          \"deadline_ms\":{},\"key_reuse\":{},\"hot_keys\":{},\"benchmark\":\"{}\",\"mix\":\"{}\",\
          \"seed\":{}}},\n  \"wall_seconds\": {:.3},\n  \"throughput_rps\": {:.1},\n  \
          \"requests\": {},\n  \"ok\": {},\n  \"errors\": {},\n  \"shed\": {},\n  \
@@ -1075,7 +969,6 @@ fn main() -> ExitCode {
         config.open_rps,
         config.burst_requests,
         config.burst_mult,
-        config.wire.name(),
         config.deadline_ms,
         config.key_reuse,
         config.hot_keys,

@@ -27,10 +27,6 @@
 //!   workers multiplexes all connections over nonblocking sockets with
 //!   reusable per-connection buffers — thread count is fixed by
 //!   configuration, not by client count.
-//! - **Binary wire format** ([`wire`]): length-prefixed solve frames
-//!   negotiated per message alongside NDJSON, answering with the exact
-//!   JSON envelope bytes of the NDJSON path (framed instead of
-//!   newline-terminated), so results are byte-identical across wires.
 //!
 //! The companion binaries live in this crate: `oftec-cli` (with the
 //! `serve` subcommand) and `oftec-loadgen` (closed/open-loop load
@@ -42,7 +38,6 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod trace;
-pub mod wire;
 
 pub use cache::{CacheConfig, CacheKey, QuantizedCache};
 pub use engine::{reference_payload, Engine, FaultPlan};

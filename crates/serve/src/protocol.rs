@@ -47,9 +47,7 @@ pub enum Request {
 /// ([`crate::trace::OUTCOME_NAMES`]).
 pub fn error_cause(kind: &str) -> &'static str {
     match kind {
-        "bad_request" | "unknown_benchmark" | "line_too_long" | "bad_frame" | "frame_too_long" => {
-            "parse"
-        }
+        "bad_request" | "unknown_benchmark" | "line_too_long" => "parse",
         "overloaded" | "shutting_down" => "overload",
         "deadline_exceeded" => "deadline",
         "panic" => "panic",
@@ -477,8 +475,6 @@ mod tests {
         assert_eq!(error_cause("bad_request"), "parse");
         assert_eq!(error_cause("unknown_benchmark"), "parse");
         assert_eq!(error_cause("line_too_long"), "parse");
-        assert_eq!(error_cause("bad_frame"), "parse");
-        assert_eq!(error_cause("frame_too_long"), "parse");
         assert_eq!(error_cause("overloaded"), "overload");
         assert_eq!(error_cause("shutting_down"), "overload");
         assert_eq!(error_cause("deadline_exceeded"), "deadline");

@@ -19,7 +19,6 @@ pub fn test_config() -> ServeConfig {
         addr: "127.0.0.1:0".into(),
         coarse: true,
         threads: 2,
-        read_timeout: Duration::from_millis(10),
         batch_window: Duration::from_millis(2),
         cache: CacheConfig::default(),
         ..ServeConfig::default()
@@ -101,32 +100,6 @@ impl Conn {
     pub fn write_raw(&mut self, bytes: &[u8]) {
         self.writer.write_all(bytes).expect("raw write");
         self.writer.flush().expect("raw flush");
-    }
-
-    /// Sends one binary frame (already encoded header + body).
-    pub fn send_frame(&mut self, frame: &[u8]) {
-        self.writer.write_all(frame).expect("frame write");
-        self.writer.flush().expect("frame flush");
-    }
-
-    /// Reads one binary response frame and returns its JSON body.
-    pub fn recv_frame(&mut self) -> String {
-        use std::io::Read;
-        let mut header = [0u8; 6];
-        self.reader.read_exact(&mut header).expect("frame header");
-        assert_eq!(header[0], 0x00, "frame magic");
-        assert_eq!(header[1], 1, "frame version");
-        let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        let mut body = vec![0u8; len];
-        self.reader.read_exact(&mut body).expect("frame body");
-        String::from_utf8(body).expect("frame body utf8")
-    }
-
-    /// Round trip on the binary wire: one request frame, one response
-    /// frame's JSON body.
-    pub fn request_frame(&mut self, frame: &[u8]) -> String {
-        self.send_frame(frame);
-        self.recv_frame()
     }
 
     /// Blocks until the server closes this connection (EOF or reset);

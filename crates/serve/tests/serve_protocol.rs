@@ -58,6 +58,25 @@ fn framing_errors_are_typed_and_recoverable() {
     let resp = conn.request(&huge);
     assert_eq!(error_kind(&resp), "line_too_long");
 
+    // A NUL-led length-prefixed frame (0x00 magic, version 1, u32 LE body
+    // length, then a 48-byte steady-solve record) is not a framing mode:
+    // up to its newline it is one malformed NDJSON line, answered with a
+    // typed error on the same connection.
+    let mut frame = vec![0x00, 0x01, 48, 0, 0, 0];
+    let mut body = [0u8; 48];
+    body[0] = 2; // steady
+    body[12..20].copy_from_slice(&1.0f64.to_le_bytes());
+    body[20..28].copy_from_slice(&3000.0f64.to_le_bytes());
+    body[28..36].copy_from_slice(&1.0f64.to_le_bytes());
+    frame.extend_from_slice(&body);
+    assert!(!frame.contains(&b'\n'), "the frame must stay one line");
+    frame.push(b'\n');
+    conn.write_raw(&frame);
+    let resp = conn.recv();
+    assert_eq!(error_kind(&resp), "bad_request");
+    let resp = conn.request(&steady_line(3000.0, 1.0, 8));
+    assert!(is_ok(&resp), "steady solve after a stray frame: {resp}");
+
     // Blank lines are ignored; a valid request after all that succeeds.
     conn.write_raw(b"\n\n");
     let resp = conn.request(r#"{"cmd":"health","id":7}"#);
