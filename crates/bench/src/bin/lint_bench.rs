@@ -1,41 +1,39 @@
-//! `lint_bench` — wall-clock and determinism benchmark of the oftec-lint
-//! analysis pipeline.
+//! `lint_bench` — wall-clock and determinism benchmark of one oftec-lint
+//! run.
 //!
 //! ```text
 //! cargo run --release -p oftec-bench --bin lint_bench -- [options]
 //!
 //! Options:
 //!   --root <dir>   workspace root to lint (default ".")
-//!   --reps <n>     timed repetitions per configuration (default 3)
+//!   --reps <n>     timed serial runs (default 10)
 //!   --out <path>   report file (default BENCH_lint.json)
 //! ```
 //!
 //! The report (`BENCH_lint.json`) records, for the same workspace:
 //!
-//! - cold-cache wall time and files/second at 1 and 8 analysis threads
-//!   (cold = cache file deleted before every repetition),
-//! - warm-cache wall time (cache fully populated, so the per-file phase
-//!   is pure replay and only the crate phase recomputes),
-//! - byte-identity of the JSONL report across thread counts and cache
-//!   states (asserted — a mismatch is a benchmark failure, not a number),
-//! - the warm/cold ratio (acceptance: warm < 0.25 × cold).
+//! - the median and interquartile range of the wall time of one full
+//!   run, over `reps` runs, and files/second at the median,
+//! - the host CPU count and the commit (`git describe --always --dirty`),
+//! - byte-identity of the JSONL report across the runs (asserted — a
+//!   mismatch is a benchmark failure, not a number).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use oftec_lint::{render_jsonl, run, DenySet, RunConfig};
+use oftec_lint::{render_jsonl, run};
 
 struct Config {
     root: PathBuf,
-    reps: u32,
+    reps: usize,
     out: String,
 }
 
 fn parse_args() -> Result<Config, String> {
     let mut config = Config {
         root: PathBuf::from("."),
-        reps: 3,
+        reps: 10,
         out: "BENCH_lint.json".into(),
     };
     let mut it = std::env::args().skip(1);
@@ -56,36 +54,66 @@ fn parse_args() -> Result<Config, String> {
     Ok(config)
 }
 
-struct Timed {
-    best_ms: f64,
-    report_jsonl: String,
-    files: usize,
+/// The checked-out commit (suffixed `-dirty` for uncommitted changes), or
+/// `unknown` outside a git tree.
+fn commit(root: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(root)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
 }
 
-/// Best-of-`reps` timed run. `cold` deletes the cache before every
-/// repetition; warm runs leave the populated cache in place.
-fn timed(config: &RunConfig, reps: u32, cold: bool) -> Result<Timed, String> {
-    let mut best_ms = f64::INFINITY;
-    let mut report_jsonl = String::new();
+/// Nearest-rank quantile of an ascending sample.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+fn bench(config: &Config) -> Result<String, String> {
+    let mut times_ms = Vec::with_capacity(config.reps);
+    let mut first: Option<String> = None;
     let mut files = 0;
-    for _ in 0..reps {
-        if cold {
-            if let Some(path) = &config.cache {
-                let _ = std::fs::remove_file(path);
-            }
-        }
+    for _ in 0..config.reps {
         let start = Instant::now();
-        let report = run(config)?;
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        best_ms = best_ms.min(elapsed_ms);
+        let report = run(&config.root)?;
+        times_ms.push(start.elapsed().as_secs_f64() * 1e3);
         files = report.files_scanned;
-        report_jsonl = render_jsonl(&report);
+        let jsonl = render_jsonl(&report);
+        match &first {
+            None => first = Some(jsonl),
+            Some(f) if *f != jsonl => return Err("reports diverge across runs".into()),
+            Some(_) => {}
+        }
     }
-    Ok(Timed {
-        best_ms,
-        report_jsonl,
-        files,
-    })
+    times_ms.sort_by(f64::total_cmp);
+    let (q1, median, q3) = (
+        quantile(&times_ms, 0.25),
+        quantile(&times_ms, 0.5),
+        quantile(&times_ms, 0.75),
+    );
+    let findings = first
+        .unwrap_or_default()
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"finding\""))
+        .count();
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    Ok(format!(
+        "{{\n  \"host\": {{\"cpus\":{cpus},\"commit\":\"{}\"}},\n  \
+         \"config\": {{\"reps\":{},\"files\":{files}}},\n  \
+         \"wall_ms\": {{\"median\":{median:.1},\"q1\":{q1:.1},\"q3\":{q3:.1},\"iqr\":{:.1}}},\n  \
+         \"files_per_s\": {:.0},\n  \
+         \"findings\": {findings},\n  \
+         \"determinism\": {{\"bytes_identical\":true}}\n}}\n",
+        commit(&config.root),
+        config.reps,
+        q3 - q1,
+        files as f64 / (median / 1e3),
+    ))
 }
 
 fn main() -> ExitCode {
@@ -96,66 +124,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cache_path = std::env::temp_dir().join(format!("oftec-lint-bench-{}", std::process::id()));
-    let run_config = |threads: usize| RunConfig {
-        root: config.root.clone(),
-        baseline: config.root.join("lint-baseline.toml"),
-        deny: DenySet::All,
-        threads: Some(threads),
-        cache: Some(cache_path.clone()),
-    };
-
-    let result = (|| -> Result<String, String> {
-        let cold_t1 = timed(&run_config(1), config.reps, true)?;
-        let cold_t8 = timed(&run_config(8), config.reps, true)?;
-        // The last cold repetition left the cache fully populated.
-        let warm_t8 = timed(&run_config(8), config.reps, false)?;
-
-        let identical = cold_t1.report_jsonl == cold_t8.report_jsonl
-            && cold_t8.report_jsonl == warm_t8.report_jsonl;
-        if !identical {
-            return Err("reports diverge across thread counts or cache states".into());
-        }
-        let warm_over_cold = warm_t8.best_ms / cold_t8.best_ms;
-        let findings = cold_t1
-            .report_jsonl
-            .lines()
-            .filter(|l| l.starts_with("{\"type\":\"finding\""))
-            .count();
-
-        let json = format!(
-            "{{\n  \"config\": {{\"reps\":{},\"files\":{}}},\n  \
-             \"cold_ms\": {{\"threads_1\":{:.1},\"threads_8\":{:.1}}},\n  \
-             \"warm_ms\": {{\"threads_8\":{:.1}}},\n  \
-             \"files_per_s\": {{\"cold_1\":{:.0},\"cold_8\":{:.0},\"warm_8\":{:.0}}},\n  \
-             \"warm_over_cold\": {:.3},\n  \
-             \"findings\": {},\n  \
-             \"determinism\": {{\"bytes_identical\":{}}}\n}}\n",
-            config.reps,
-            cold_t1.files,
-            cold_t1.best_ms,
-            cold_t8.best_ms,
-            warm_t8.best_ms,
-            cold_t1.files as f64 / (cold_t1.best_ms / 1e3),
-            cold_t8.files as f64 / (cold_t8.best_ms / 1e3),
-            warm_t8.files as f64 / (warm_t8.best_ms / 1e3),
-            warm_over_cold,
-            findings,
-            identical,
-        );
-        println!("{json}");
-        if warm_over_cold >= 0.25 {
-            return Err(format!(
-                "warm-cache run took {warm_over_cold:.2}x the cold run; the \
-                 incremental cache must replay in under 0.25x"
-            ));
-        }
-        Ok(json)
-    })();
-    let _ = std::fs::remove_file(&cache_path);
-
-    match result {
+    match bench(&config) {
         Ok(json) => {
+            println!("{json}");
             if let Err(e) = std::fs::write(&config.out, json) {
                 eprintln!("lint_bench: cannot write {}: {e}", config.out);
                 return ExitCode::from(2);

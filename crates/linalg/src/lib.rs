@@ -49,7 +49,7 @@ pub use dense::{vector, Matrix};
 pub use eigen::{smallest_eigenvalue, sym_eigen, EigenParams};
 pub use error::LinalgError;
 pub use fallback::{solve_dense_chain, DenseMethod, DenseSolve};
-pub use iterative::{solve_bicgstab, solve_cg, solve_cg_mixed, IterativeParams, IterativeSummary};
+pub use iterative::{solve_bicgstab, solve_cg, IterativeParams, IterativeSummary};
 pub use lu::LuFactor;
 pub use precond::{
     IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,

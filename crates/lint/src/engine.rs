@@ -5,15 +5,13 @@ use crate::lexer::{lex, Tok, TokKind};
 use crate::rules::{FileKind, Rule, RULES};
 use std::collections::BTreeMap;
 
-/// Lifecycle of a finding through suppression and baseline matching.
+/// Whether a finding fails the gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Status {
-    /// Fails the gate when its rule is denied.
+    /// Fails the gate.
     Active,
     /// Silenced by an inline `oftec-lint: allow(...)` with a reason.
     Suppressed,
-    /// Grandfathered by an entry in `lint-baseline.toml`.
-    Baselined,
 }
 
 impl Status {
@@ -22,7 +20,6 @@ impl Status {
         match self {
             Status::Active => "active",
             Status::Suppressed => "suppressed",
-            Status::Baselined => "baselined",
         }
     }
 }
@@ -83,7 +80,7 @@ pub struct ScanStats {
 /// status applied, the suppression table (the crate phase re-applies it
 /// to cross-function findings), `// oftec-lint: hot` marker lines, and
 /// the per-function dataflow summaries. Depends only on the file's own
-/// bytes, which is what makes it cacheable by content hash.
+/// bytes.
 #[derive(Debug, Default)]
 pub struct FileAnalysis {
     pub findings: Vec<Finding>,
@@ -100,7 +97,7 @@ pub fn scan_source(rel: &str, src: &str, krate: &str, kind: FileKind) -> (Vec<Fi
     (analysis.findings, analysis.stats)
 }
 
-/// Full per-file analysis: token rules (L001–L007), the AST/dataflow
+/// Full per-file analysis: token rules (L002–L006), the AST/dataflow
 /// semantic rules that are file-local (L008, L012), suppression
 /// handling, and function summaries for the crate phase (L009–L011,
 /// L013).
@@ -394,25 +391,6 @@ fn match_rules(code: &[&Tok], active: &[&'static Rule], rel: &str, findings: &mu
             continue;
         }
 
-        // L001: `.unwrap()` / `.expect(`.
-        if enabled(active, "L001")
-            && is(t, TokKind::Punct, ".")
-            && i + 2 < code.len()
-            && code[i + 1].kind == TokKind::Ident
-            && matches!(code[i + 1].text.as_str(), "unwrap" | "expect")
-            && is(code[i + 2], TokKind::Punct, "(")
-        {
-            push(
-                findings,
-                "L001",
-                code[i + 1],
-                format!(
-                    "`{}()` on a non-test path; return a typed error instead",
-                    code[i + 1].text
-                ),
-            );
-        }
-
         // L002: `thread::spawn`.
         if enabled(active, "L002")
             && t.kind == TokKind::Ident
@@ -515,12 +493,6 @@ fn match_rules(code: &[&Tok], active: &[&'static Rule], rel: &str, findings: &mu
             );
         }
 
-        // L007: `pub fn solve*`/`run` returning `Result` without
-        // `#[must_use]`.
-        if enabled(active, "L007") && t.kind == TokKind::Ident && t.text == "pub" {
-            check_entry_point(code, i, rel, findings);
-        }
-
         i += 1;
     }
 }
@@ -556,87 +528,6 @@ fn parse_attr(code: &[&Tok], open: usize) -> (usize, bool) {
         j += 1;
     }
     (j, false)
-}
-
-/// L007 helper: from a `pub` token, checks whether it introduces a
-/// solver entry point (`fn solve*` / `fn run`) returning `Result` and
-/// whether a `#[must_use]` attribute precedes it.
-fn check_entry_point(code: &[&Tok], pub_idx: usize, rel: &str, findings: &mut Vec<Finding>) {
-    let mut j = pub_idx + 1;
-    // `pub(crate)`/`pub(super)` visibility is not public API.
-    if j < code.len() && code[j].kind == TokKind::Punct && code[j].text == "(" {
-        return;
-    }
-    if !(j < code.len() && code[j].kind == TokKind::Ident && code[j].text == "fn") {
-        return;
-    }
-    j += 1;
-    let Some(name) = code.get(j) else { return };
-    if name.kind != TokKind::Ident {
-        return;
-    }
-    if !(name.text.starts_with("solve") || name.text == "run") {
-        return;
-    }
-    // Scan the signature for `-> … Result …` before the body / `;`.
-    let mut saw_arrow = false;
-    let mut returns_result = false;
-    for t in code.iter().skip(j + 1).take(64) {
-        if t.kind == TokKind::Punct && (t.text == "{" || t.text == ";") {
-            break;
-        }
-        if t.kind == TokKind::Punct && t.text == "->" {
-            saw_arrow = true;
-        }
-        if saw_arrow && t.kind == TokKind::Ident && t.text == "Result" {
-            returns_result = true;
-            break;
-        }
-    }
-    if !returns_result {
-        return;
-    }
-    // Walk backwards over contiguous attribute groups looking for
-    // `must_use`.
-    let mut k = pub_idx;
-    while k >= 2 && code[k - 1].kind == TokKind::Punct && code[k - 1].text == "]" {
-        let mut depth = 0i64;
-        let mut m = k - 1;
-        loop {
-            let t = code[m];
-            if t.kind == TokKind::Punct && t.text == "]" {
-                depth += 1;
-            } else if t.kind == TokKind::Punct && t.text == "[" {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            if m == 0 {
-                return;
-            }
-            m -= 1;
-        }
-        if code[m..k]
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text == "must_use")
-        {
-            return;
-        }
-        // Step past the `#` introducing this attribute.
-        k = m.saturating_sub(1);
-    }
-    findings.push(Finding {
-        rule: "L007",
-        file: rel.to_string(),
-        line: name.line,
-        col: name.col,
-        message: format!(
-            "public solver entry point `{}` returns `Result` without `#[must_use]`",
-            name.text
-        ),
-        status: Status::Active,
-    });
 }
 
 #[cfg(test)]
@@ -678,43 +569,43 @@ mod tests {
     #[test]
     fn cfg_test_modules_are_skipped() {
         let src = "
-fn live() { a.unwrap(); }
+fn live() { panic!(); }
 #[cfg(test)]
 mod tests {
-    fn hidden() { b.unwrap(); }
+    fn hidden() { panic!(); }
 }
-fn live_again() { c.unwrap(); }
+fn live_again() { panic!(); }
 ";
         assert_eq!(
             active(src, "core", FileKind::Lib),
-            [("L001", 2), ("L001", 7)]
+            [("L006", 2), ("L006", 7)]
         );
     }
 
     #[test]
     fn cfg_not_test_is_still_scanned() {
-        let src = "#[cfg(not(test))]\nmod m { fn f() { a.unwrap(); } }\n";
-        assert_eq!(active(src, "core", FileKind::Lib), [("L001", 2)]);
+        let src = "#[cfg(not(test))]\nmod m { fn f() { panic!(); } }\n";
+        assert_eq!(active(src, "core", FileKind::Lib), [("L006", 2)]);
     }
 
     #[test]
     fn cfg_attr_does_not_arm_test_regions() {
-        let src = "#[cfg_attr(docsrs, doc(cfg(test)))]\nfn f() { a.unwrap(); }\n";
-        assert_eq!(active(src, "core", FileKind::Lib), [("L001", 2)]);
+        let src = "#[cfg_attr(docsrs, doc(cfg(test)))]\nfn f() { panic!(); }\n";
+        assert_eq!(active(src, "core", FileKind::Lib), [("L006", 2)]);
     }
 
     #[test]
     fn inner_cfg_test_marks_whole_file() {
-        let src = "#![cfg(test)]\nfn f() { a.unwrap(); }\n";
+        let src = "#![cfg(test)]\nfn f() { panic!(); }\n";
         assert!(active(src, "core", FileKind::Lib).is_empty());
     }
 
     #[test]
     fn suppression_covers_own_and_next_line() {
         let src = "\
-// oftec-lint: allow(L001, seeded fixture exercising the suppression path)
-fn f() { a.unwrap(); }
-fn g() { b.unwrap(); }
+// oftec-lint: allow(L006, seeded fixture exercising the suppression path)
+fn f() { panic!(); }
+fn g() { panic!(); }
 ";
         let (findings, stats) = scan_source("x.rs", src, "core", FileKind::Lib);
         assert_eq!(stats.suppressed, 1);
@@ -724,31 +615,29 @@ fn g() { b.unwrap(); }
 
     #[test]
     fn suppression_without_reason_is_flagged_and_inert() {
-        let src = "// oftec-lint: allow(L001)\nfn f() { a.unwrap(); }\n";
+        let src = "// oftec-lint: allow(L006)\nfn f() { panic!(); }\n";
         let found = active(src, "core", FileKind::Lib);
         assert!(found.contains(&("L000", 1)), "missing reason is a finding");
         assert!(
-            found.contains(&("L001", 2)),
+            found.contains(&("L006", 2)),
             "the bad allow silences nothing"
         );
     }
 
     #[test]
     fn suppression_with_unknown_rule_is_flagged() {
-        let src = "// oftec-lint: allow(L999, no such rule)\nfn f() {}\n";
-        assert_eq!(active(src, "core", FileKind::Lib), [("L000", 1)]);
+        // L001 and L007 moved to clippy and rustc; a leftover allow naming
+        // them is as unknown as a typo.
+        for id in ["L999", "L001", "L007"] {
+            let src = format!("// oftec-lint: allow({id}, x)\nfn f() {{}}\n");
+            assert_eq!(active(&src, "core", FileKind::Lib), [("L000", 1)], "{id}");
+        }
     }
 
     #[test]
     fn unrecognized_directive_is_flagged() {
         let src = "// oftec-lint: disable-next-line\nfn f() {}\n";
         assert_eq!(active(src, "core", FileKind::Lib), [("L000", 1)]);
-    }
-
-    #[test]
-    fn l001_ignores_unwrap_or_variants() {
-        let src = "fn f() { a.unwrap_or_default(); b.unwrap_or(0); }\n";
-        assert!(active(src, "core", FileKind::Lib).is_empty());
     }
 
     #[test]
@@ -786,18 +675,5 @@ fn g() { b.unwrap(); }
             [("L005", 1), ("L006", 1)]
         );
         assert!(active(src, "core", FileKind::Bin).is_empty());
-    }
-
-    #[test]
-    fn l007_entry_point_must_use() {
-        let bare = "pub fn solve_x(a: u32) -> Result<(), E> { Ok(()) }\n";
-        assert_eq!(active(bare, "thermal", FileKind::Lib), [("L007", 1)]);
-        let annotated =
-            "#[must_use = \"check the outcome\"]\npub fn solve_x(a: u32) -> Result<(), E> { Ok(()) }\n";
-        assert!(active(annotated, "thermal", FileKind::Lib).is_empty());
-        let crate_private = "pub(crate) fn solve_x() -> Result<(), E> { f() }\n";
-        assert!(active(crate_private, "thermal", FileKind::Lib).is_empty());
-        let non_result = "pub fn solve_x(a: u32) -> u32 { a }\n";
-        assert!(active(non_result, "thermal", FileKind::Lib).is_empty());
     }
 }

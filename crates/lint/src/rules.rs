@@ -33,7 +33,7 @@ pub enum CrateScope {
 /// One lint rule's metadata; matching logic lives in the engine.
 #[derive(Debug)]
 pub struct Rule {
-    /// Stable id (`L001`…).
+    /// Stable id (`L000`…).
     pub id: &'static str,
     /// One-line summary for `--list-rules` and diagnostics.
     pub title: &'static str,
@@ -66,16 +66,6 @@ pub const RULES: &[Rule] = &[
         kinds: &[Lib, Bin, Example, Bench],
         crates: AllExcept(&[]),
         counter: "lint.findings.L000",
-    },
-    Rule {
-        id: "L001",
-        title: "`unwrap()`/`expect()` in non-test library or binary code",
-        rationale: "PR 3's fault taxonomy: a surprise on a solve or serving path must \
-                    become a typed `OftecError`, not an abort. Superset of the old \
-                    per-crate clippy gate, covering all workspace crates and bins.",
-        kinds: &[Lib, Bin, Example],
-        crates: AllExcept(&[]),
-        counter: "lint.findings.L001",
     },
     Rule {
         id: "L002",
@@ -128,24 +118,6 @@ pub const RULES: &[Rule] = &[
         kinds: &[Lib],
         crates: AllExcept(&[]),
         counter: "lint.findings.L006",
-    },
-    Rule {
-        id: "L007",
-        title: "missing `#[must_use]` on public `Result`-returning solver entry points",
-        rationale: "Dropping a solver `Result` silently discards a failed solve; \
-                    entry points (`pub fn solve*`/`run`) in the solver crates must \
-                    be annotated so callers cannot ignore the outcome.",
-        kinds: &[Lib],
-        crates: Only(&[
-            "linalg",
-            "optim",
-            "thermal",
-            "core",
-            "serve",
-            "telemetry",
-            "fleet",
-        ]),
-        counter: "lint.findings.L007",
     },
     Rule {
         id: "L008",
@@ -205,11 +177,9 @@ pub const RULES: &[Rule] = &[
         id: "L012",
         title: "lossy numeric `as` cast on a solver path",
         rationale: "Narrowing casts (`f64→f32`, `usize→u32`) silently lose \
-                    precision or truncate; solver-path numerics stay f64/usize \
-                    except in the sanctioned mixed-precision module \
-                    (`crates/linalg/src/iterative.rs`), where the f32 \
-                    preconditioner's error is certified by the iterative \
-                    refinement loop around it.",
+                    precision or truncate; solver-path numerics stay f64/usize, \
+                    and a range-proved cast carries an inline allow with the \
+                    proof.",
         kinds: &[Lib],
         crates: Only(&["linalg", "optim", "thermal", "core", "power"]),
         counter: "lint.findings.L012",

@@ -1,17 +1,15 @@
 //! Semantic rules L008–L013 over the AST and dataflow summaries.
 //!
-//! Two phases, mirroring the cache boundary:
+//! Two phases:
 //!
 //! - **Per-file** ([`file_findings`]): rules that depend only on one
 //!   file's AST and symbols — L008 (unordered collections: declarations
 //!   and taint-to-sink iteration) and L012 (narrowing numeric casts on
-//!   solver paths). These findings are cached with the file.
+//!   solver paths).
 //! - **Crate phase** ([`crate_findings`]): rules that compose per-function
 //!   summaries across a crate — L009 (atomic-ordering publication audit),
 //!   L010 (lock-order cycles), L011 (blocking while locked on serve hot
 //!   paths), L013 (allocation under `// oftec-lint: hot` reachability).
-//!   These are cheap and recomputed every run from (possibly cached)
-//!   summaries.
 //!
 //! See DESIGN.md §18 for each rule's rationale and suppression guidance.
 
@@ -22,10 +20,6 @@ use crate::dataflow::{AtomicKind, FnSummary, LockId};
 use crate::engine::{Finding, Status};
 use crate::resolve::{self, FileSymbols};
 use crate::rules::{self, FileKind};
-
-/// The mixed-precision module sanctioned to narrow `f64` deliberately
-/// (L012 does not apply there).
-pub const SANCTIONED_MIXED_PRECISION: &str = "crates/linalg/src/iterative.rs";
 
 fn finding(rule: &'static str, file: &str, line: u32, col: u32, message: String) -> Finding {
     Finding {
@@ -42,8 +36,7 @@ fn rule_applies(id: &str, krate: &str, kind: FileKind) -> bool {
     rules::rule(id).is_some_and(|r| r.applies(krate, kind))
 }
 
-/// Per-file semantic findings (cached alongside the file): L008 and
-/// L012.
+/// Per-file semantic findings: L008 and L012.
 pub fn file_findings(
     rel: &str,
     krate: &str,
@@ -90,7 +83,7 @@ pub fn file_findings(
         }
     }
 
-    if rule_applies("L012", krate, kind) && rel != SANCTIONED_MIXED_PRECISION {
+    if rule_applies("L012", krate, kind) {
         for s in summaries.iter().filter(|s| !s.is_test) {
             for c in &s.casts {
                 out.push(finding(
@@ -99,8 +92,7 @@ pub fn file_findings(
                     c.line,
                     c.col,
                     format!(
-                        "lossy numeric cast `as {}` on a solver path; keep f64/usize precision, \
-                         use the sanctioned mixed-precision module ({SANCTIONED_MIXED_PRECISION}), \
+                        "lossy numeric cast `as {}` on a solver path; keep f64/usize precision \
                          or add a reasoned allow",
                         c.ty
                     ),
@@ -648,6 +640,22 @@ mod tests {
              }\n",
         );
         assert!(a.file_findings.is_empty(), "{:?}", a.file_findings);
+    }
+
+    #[test]
+    fn l012_flags_narrowing_casts_in_every_solver_file() {
+        let src = "pub fn quantize(x: f64) -> f32 { x as f32 }\n";
+        for rel in [
+            "crates/thermal/src/x.rs",
+            "crates/linalg/src/sparse.rs",
+            "crates/linalg/src/iterative.rs",
+        ] {
+            let krate = rel.split('/').nth(1).unwrap_or_default();
+            let a = analyze(rel, krate, src);
+            let rules: Vec<(u32, &str)> =
+                a.file_findings.iter().map(|f| (f.line, f.rule)).collect();
+            assert_eq!(rules, [(1, "L012")], "{rel}");
+        }
     }
 
     #[test]

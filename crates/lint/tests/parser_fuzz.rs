@@ -75,7 +75,7 @@ const FRAGMENTS: &[&str] = &[
     "match x { Some(_) => 1, None => 2 }",
     "static N: AtomicU64 = AtomicU64::new(0);",
     "self.flag.store(true, Ordering::Relaxed);",
-    "// oftec-lint: allow(L001, fuzz)",
+    "// oftec-lint: allow(L005, fuzz)",
     "/* block ",
     "*/",
     "\"unterminated",
@@ -171,7 +171,7 @@ fn raw_string_fences_lex_as_single_tokens() {
     assert_span_round_trip(src, &toks);
     let strs = toks.iter().filter(|t| t.kind == TokKind::Str).count();
     assert_eq!(strs, 2, "each raw string is exactly one token");
-    // The unwrap after the raw strings is still visible to the rules.
+    // The code after the raw strings still lexes as ordinary tokens.
     assert!(toks.iter().any(|t| t.text == "unwrap"));
 }
 
