@@ -378,8 +378,10 @@ PY
 
 # Reduced-order solve smoke (DESIGN.md §14): build the POD basis on the
 # coarse DAC'14 package, sweep an operating-point grid, and assert the
-# reduced path actually ran (reduction.solves > 0) and stayed inside the
-# 0.1 K die-temperature accuracy budget against the full CG reference.
+# reduced path actually ran (reduction.solves > 0), certified every point
+# (reduction.fallbacks == 0, so an over-rejecting certificate fails here
+# rather than silently routing work to the full path), and stayed inside
+# the 0.1 K die-temperature accuracy budget against the full CG reference.
 ./target/release/reduction_accuracy --smoke --out "$redbench" > /dev/null
 python3 - "$redbench" <<'PY'
 import json, sys
@@ -389,6 +391,8 @@ assert bench["grid"]["disagreements"] == 0, "reduced/full solvability disagreeme
 assert bench["max_abs_error_k"] < 0.1, \
     f"reduced solve error {bench['max_abs_error_k']} K exceeds 0.1 K budget"
 assert bench["counters"]["reduction.solves"] > 0, "reduced path never engaged"
+assert bench["counters"]["reduction.fallbacks"] == 0, \
+    f"{bench['counters']['reduction.fallbacks']} reduced solves fell back to the full path"
 print("reduction smoke ok:",
       bench["grid"]["compared"], "points,",
       "max err %.2e K," % bench["max_abs_error_k"],

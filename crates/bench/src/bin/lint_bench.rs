@@ -18,10 +18,11 @@
 //! - byte-identity of the JSONL report across the runs (asserted — a
 //!   mismatch is a benchmark failure, not a number).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use oftec_bench::{commit, cpus, quantile};
 use oftec_lint::{render_jsonl, run};
 
 struct Config {
@@ -54,26 +55,6 @@ fn parse_args() -> Result<Config, String> {
     Ok(config)
 }
 
-/// The checked-out commit (suffixed `-dirty` for uncommitted changes), or
-/// `unknown` outside a git tree.
-fn commit(root: &Path) -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_string(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        )
-}
-
-/// Nearest-rank quantile of an ascending sample.
-fn quantile(sorted: &[f64], p: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
-}
-
 fn bench(config: &Config) -> Result<String, String> {
     let mut times_ms = Vec::with_capacity(config.reps);
     let mut first: Option<String> = None;
@@ -101,14 +82,14 @@ fn bench(config: &Config) -> Result<String, String> {
         .lines()
         .filter(|l| l.starts_with("{\"type\":\"finding\""))
         .count();
-    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     Ok(format!(
-        "{{\n  \"host\": {{\"cpus\":{cpus},\"commit\":\"{}\"}},\n  \
+        "{{\n  \"host\": {{\"cpus\":{},\"commit\":\"{}\"}},\n  \
          \"config\": {{\"reps\":{},\"files\":{files}}},\n  \
          \"wall_ms\": {{\"median\":{median:.1},\"q1\":{q1:.1},\"q3\":{q3:.1},\"iqr\":{:.1}}},\n  \
          \"files_per_s\": {:.0},\n  \
          \"findings\": {findings},\n  \
          \"determinism\": {{\"bytes_identical\":true}}\n}}\n",
+        cpus(),
         commit(&config.root),
         config.reps,
         q3 - q1,

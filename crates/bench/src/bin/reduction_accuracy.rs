@@ -7,7 +7,7 @@
 //! Options:
 //!   --benchmark <name>   workload (default qsort)
 //!   --smoke              coarse DAC'14 package + small grid (CI gate)
-//!   --repeats <n>        reduced-path timing repeats per grid point
+//!   --repeats <n>        timed passes over the grid, per path
 //!   --out <path>         report file (default BENCH_reduction.json)
 //! ```
 //!
@@ -16,16 +16,20 @@
 //!
 //! - max/mean absolute die-temperature error of the reduced solve vs the
 //!   full solve (acceptance: max < 0.1 K),
-//! - per-evaluation latency of both paths and their ratio (acceptance:
-//!   ≥ 10× speedup),
+//! - per-evaluation latency of both paths — the median and interquartile
+//!   range over the timed passes — and the ratio of the medians
+//!   (acceptance: ≥ 10× speedup),
+//! - the host CPU count and the commit (`git describe --always --dirty`),
 //! - the one-time basis build cost and how many evaluations amortize it,
 //! - the `reduction.*` telemetry counters from the run (the CI gate
 //!   asserts `reduction.solves > 0`, i.e. the fast path actually ran).
 
 use oftec::CoolingSystem;
+use oftec_bench::{commit, cpus, quantile};
 use oftec_power::Benchmark;
 use oftec_thermal::{CoolingModel, OperatingPoint, PackageConfig, ReductionOptions};
 use oftec_units::{AngularVelocity, Current};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -75,6 +79,33 @@ fn parse_args() -> Result<Config, String> {
         }
     }
     Ok(config)
+}
+
+/// Times `passes` runs of `pass` (each `evals` evaluations) and returns the
+/// ascending per-evaluation latencies in µs, one per pass.
+fn per_eval_us(passes: usize, evals: usize, mut pass: impl FnMut()) -> Vec<f64> {
+    let mut samples: Vec<f64> = (0..passes)
+        .map(|_| {
+            let started = Instant::now();
+            pass();
+            started.elapsed().as_secs_f64() * 1e6 / evals as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples
+}
+
+/// `{"median":…,"q1":…,"q3":…,"iqr":…}` of an ascending sample.
+fn spread(sorted: &[f64]) -> String {
+    let (q1, median, q3) = (
+        quantile(sorted, 0.25),
+        quantile(sorted, 0.5),
+        quantile(sorted, 0.75),
+    );
+    format!(
+        "{{\"median\":{median:.2},\"q1\":{q1:.2},\"q3\":{q3:.2},\"iqr\":{:.2}}}",
+        q3 - q1
+    )
 }
 
 fn main() -> ExitCode {
@@ -162,42 +193,45 @@ fn main() -> ExitCode {
     }
     let mean_err = sum_err / compared as f64;
 
-    // Latency: the reduced path repeated, the full path once per point
-    // (cold starts on both sides, matching the uncached serve path).
-    let started = Instant::now();
+    // Latency: `repeats` timed passes over the grid per path, cold starts
+    // on both sides (matching the uncached serve path); each pass gives
+    // one per-eval sample.
     let mut reduced_evals = 0usize;
-    for _ in 0..repeats {
+    let reduced_us = per_eval_us(repeats, ops.len(), || {
         for &op in &ops {
             if reduced.solve(op).is_ok() {
                 reduced_evals += 1;
             }
         }
-    }
-    let reduced_us = started.elapsed().as_secs_f64() * 1e6 / (repeats * ops.len()) as f64;
-    let started = Instant::now();
-    for &op in &ops {
-        let _ = model.solve(op);
-    }
-    let full_us = started.elapsed().as_secs_f64() * 1e6 / ops.len() as f64;
-    let speedup = full_us / reduced_us.max(1e-12);
+    });
+    let full_us = per_eval_us(repeats, ops.len(), || {
+        for &op in &ops {
+            let _ = model.solve(op);
+        }
+    });
+    let (reduced_med, full_med) = (quantile(&reduced_us, 0.5), quantile(&full_us, 0.5));
+    let speedup = full_med / reduced_med.max(1e-12);
     // Evaluations after which the basis build has paid for itself.
-    let amortize_evals = (build_seconds * 1e6 / (full_us - reduced_us).max(1e-9)).ceil();
+    let amortize_evals = (build_seconds * 1e6 / (full_med - reduced_med).max(1e-9)).ceil();
 
     oftec_telemetry::flush();
     let snap = oftec_telemetry::snapshot();
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
 
     let report = format!(
-        "{{\n  \"config\": {{\"benchmark\":\"{}\",\"package\":\"{}\",\"omega_points\":{},\
+        "{{\n  \"host\": {{\"cpus\":{},\"commit\":\"{}\"}},\n  \
+         \"config\": {{\"benchmark\":\"{}\",\"package\":\"{}\",\"omega_points\":{},\
          \"current_points\":{},\"repeats\":{},\"smoke\":{}}},\n  \
          \"build\": {{\"seconds\":{:.4},\"snapshots_used\":{},\"basis_size\":{},\
          \"amortized_after_evals\":{}}},\n  \
          \"grid\": {{\"points\":{},\"compared\":{},\"runaway\":{},\"disagreements\":{}}},\n  \
          \"max_abs_error_k\": {:.6e},\n  \"mean_abs_error_k\": {:.6e},\n  \
-         \"latency\": {{\"reduced_us_per_eval\":{:.2},\"full_us_per_eval\":{:.2},\
+         \"latency\": {{\"reduced_us_per_eval\":{},\"full_us_per_eval\":{},\
          \"speedup\":{:.1}}},\n  \
          \"counters\": {{\"reduction.solves\":{},\"reduction.fallbacks\":{},\
          \"reduction.builds\":{}}}\n}}\n",
+        cpus(),
+        commit(Path::new(".")),
         benchmark.name(),
         package_name,
         omega_points,
@@ -214,8 +248,8 @@ fn main() -> ExitCode {
         disagreements,
         max_err,
         mean_err,
-        reduced_us,
-        full_us,
+        spread(&reduced_us),
+        spread(&full_us),
         speedup,
         counter("reduction.solves"),
         counter("reduction.fallbacks"),

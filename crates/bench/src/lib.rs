@@ -20,7 +20,33 @@ use oftec_power::Benchmark;
 use oftec_thermal::PackageConfig;
 use serde::Serialize;
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
+
+/// The checked-out commit (suffixed `-dirty` for uncommitted changes), or
+/// `unknown` outside a git tree.
+pub fn commit(root: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(root)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+        )
+}
+
+/// The host's CPU count as the standard library reports it.
+pub fn cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Nearest-rank quantile of a non-empty ascending sample.
+pub fn quantile(sorted: &[f64], p: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
 
 /// One row of a per-benchmark comparison: OFTEC vs the two baselines.
 #[derive(Debug, Clone, Serialize)]

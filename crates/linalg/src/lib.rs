@@ -41,7 +41,6 @@ mod fallback;
 mod iterative;
 mod lu;
 mod precond;
-mod sell;
 mod sparse;
 
 pub use cholesky::CholeskyFactor;
@@ -54,5 +53,4 @@ pub use lu::LuFactor;
 pub use precond::{
     IdentityPreconditioner, Ilu0Preconditioner, JacobiPreconditioner, Preconditioner,
 };
-pub use sell::SellMatrix;
 pub use sparse::{CsrMatrix, Triplets};
