@@ -118,7 +118,6 @@ pub fn minimize(
                 current = candidate;
                 failures = candidate_failures;
                 steps += 1;
-                oftec_telemetry::counter_add("fleet.minimize.steps", 1);
                 continue 'outer;
             }
         }

@@ -437,7 +437,7 @@ pub fn run(config: &RunConfig) -> Result<RunSummary, FleetError> {
 
 /// Builds the run summary by re-reading every shard's valid prefix (so
 /// the numbers describe the whole run regardless of which invocation
-/// processed which scenario), and mirrors the tallies into telemetry.
+/// processed which scenario).
 fn tally(config: &RunConfig, stopped_early: bool) -> Result<RunSummary, FleetError> {
     let mut summary = RunSummary {
         run_seed: Seed(config.run_seed),
@@ -482,14 +482,6 @@ fn tally(config: &RunConfig, stopped_early: bool) -> Result<RunSummary, FleetErr
     repro_files.sort_unstable();
     summary.repro_files = repro_files;
 
-    oftec_telemetry::counter_add("fleet.scenarios", summary.scenarios);
-    oftec_telemetry::counter_add("fleet.verdict.feasible", summary.verdicts.feasible);
-    oftec_telemetry::counter_add("fleet.verdict.fan_only", summary.verdicts.fan_only);
-    oftec_telemetry::counter_add("fleet.verdict.tec_required", summary.verdicts.tec_required);
-    oftec_telemetry::counter_add("fleet.verdict.runaway", summary.verdicts.runaway);
-    oftec_telemetry::counter_add("fleet.verdict.solver_error", summary.verdicts.solver_error);
-    oftec_telemetry::counter_add("fleet.cross_checks", summary.cross_checks);
-    oftec_telemetry::counter_add("fleet.discrepancies", summary.discrepancies);
     Ok(summary)
 }
 

@@ -265,7 +265,6 @@ mod tests {
             let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
             solve_dense_chain(&a, &[2.0, 3.0]).unwrap();
         });
-        oftec_telemetry::set_collecting(false);
         assert!(buf.counter("linalg.dense.fallbacks") >= 1);
     }
 }

@@ -272,7 +272,7 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("serve") {
         // The server owns its telemetry snapshot (written during graceful
-        // drain with authoritative counters); skip the generic one.
+        // drain, with its own counters); skip the generic one.
         return serve(&args[1..], opts.telemetry_path);
     }
     let code = run(&args, opts.scale);

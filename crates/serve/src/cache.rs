@@ -10,8 +10,8 @@
 //! Eviction is capacity-LRU with optional TTL, implemented with a lazy
 //! recency queue: each touch appends a `(seq, key)` marker and only the
 //! newest marker per key is live, so `get`/`insert` stay O(1) amortized
-//! without an intrusive list. Hit/miss/eviction/expiry counts feed the
-//! telemetry registry.
+//! without an intrusive list. Hit/miss/eviction/expiry counts land in the
+//! owning server's counters.
 //!
 //! The store is **sharded**: keys hash (deterministically — no per-process
 //! randomness, so shard placement is reproducible) onto one of
@@ -21,18 +21,13 @@
 //! which changes nothing about hit payloads — only which entry is evicted
 //! under capacity pressure.
 
+use crate::counters::ServeCounters;
 use crate::protocol::{SolveKind, SolveSpec};
 use oftec_power::Benchmark;
-use oftec_telemetry::Counter;
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-pub static CACHE_HITS: Counter = Counter::new("serve.cache.hits");
-pub static CACHE_MISSES: Counter = Counter::new("serve.cache.misses");
-pub static CACHE_EVICTIONS: Counter = Counter::new("serve.cache.evictions");
-pub static CACHE_EXPIRED: Counter = Counter::new("serve.cache.expired");
 
 /// Quantization grids and eviction limits.
 #[derive(Debug, Clone)]
@@ -158,10 +153,17 @@ pub struct QuantizedCache {
     /// Per-entry capacity of each shard (total capacity split evenly).
     shard_capacity: usize,
     shards: Box<[Mutex<Inner>]>,
+    counters: Arc<ServeCounters>,
 }
 
 impl QuantizedCache {
+    /// A cache with counters of its own (no server reads them).
     pub fn new(cfg: CacheConfig) -> Self {
+        Self::with_counters(cfg, Arc::default())
+    }
+
+    /// A cache counting into its server's `counters`.
+    pub(crate) fn with_counters(cfg: CacheConfig, counters: Arc<ServeCounters>) -> Self {
         let nshards = cfg.shards.max(1).next_power_of_two();
         let shards = (0..nshards)
             .map(|_| {
@@ -178,6 +180,7 @@ impl QuantizedCache {
             shard_capacity: cfg.capacity.div_ceil(nshards),
             cfg,
             shards,
+            counters,
         }
     }
 
@@ -218,7 +221,7 @@ impl QuantizedCache {
     fn lookup(&self, key: &CacheKey, count: bool) -> Option<String> {
         if self.cfg.capacity == 0 {
             if count {
-                CACHE_MISSES.add(1);
+                self.counters.cache_misses.add(1);
             }
             return None;
         }
@@ -228,7 +231,7 @@ impl QuantizedCache {
         let expired = match inner.map.get(key) {
             None => {
                 if count {
-                    CACHE_MISSES.add(1);
+                    self.counters.cache_misses.add(1);
                 }
                 return None;
             }
@@ -236,9 +239,9 @@ impl QuantizedCache {
         };
         if expired {
             inner.map.remove(key);
-            CACHE_EXPIRED.add(1);
+            self.counters.cache_expired.add(1);
             if count {
-                CACHE_MISSES.add(1);
+                self.counters.cache_misses.add(1);
             }
             return None;
         }
@@ -254,7 +257,7 @@ impl QuantizedCache {
             None => return None,
         };
         if count {
-            CACHE_HITS.add(1);
+            self.counters.cache_hits.add(1);
         }
         Self::maybe_compact(&mut inner);
         Some(payload)
@@ -290,7 +293,7 @@ impl QuantizedCache {
                         .is_some_and(|e| e.touched == marker_seq)
                     {
                         inner.map.remove(&old_key);
-                        CACHE_EVICTIONS.add(1);
+                        self.counters.cache_evictions.add(1);
                     }
                 }
                 None => break,
@@ -395,9 +398,8 @@ mod tests {
         let c = cache(8, Some(Duration::ZERO));
         let k = c.key_for(&spec(3000.0, 1.5));
         c.insert(k, "x".into());
-        let before = CACHE_EXPIRED.get();
         assert_eq!(c.get(&k), None, "zero TTL must expire instantly");
-        assert_eq!(CACHE_EXPIRED.get(), before + 1);
+        assert_eq!(c.counters.cache_expired.get(), 1);
         assert!(c.is_empty());
     }
 
@@ -413,9 +415,8 @@ mod tests {
         c.insert(kb, "b".into());
         // Touch `a` so `b` is now least-recently-used.
         assert_eq!(c.get(&ka).as_deref(), Some("a"));
-        let before = CACHE_EVICTIONS.get();
         c.insert(kc, "c".into());
-        assert_eq!(CACHE_EVICTIONS.get(), before + 1);
+        assert_eq!(c.counters.cache_evictions.get(), 1);
         assert_eq!(c.get(&kb), None, "LRU entry must be the one evicted");
         assert_eq!(c.get(&ka).as_deref(), Some("a"));
         assert_eq!(c.get(&kc).as_deref(), Some("c"));
@@ -426,13 +427,12 @@ mod tests {
     fn counters_track_hits_and_misses() {
         let c = cache(8, None);
         let k = c.key_for(&spec(4000.0, 2.0));
-        let (h0, m0) = (CACHE_HITS.get(), CACHE_MISSES.get());
         c.get(&k);
         c.insert(k, "v".into());
         c.get(&k);
         c.get(&k);
-        assert_eq!(CACHE_HITS.get() - h0, 2);
-        assert_eq!(CACHE_MISSES.get() - m0, 1);
+        assert_eq!(c.counters.cache_hits.get(), 2);
+        assert_eq!(c.counters.cache_misses.get(), 1);
     }
 
     #[test]

@@ -14,13 +14,13 @@
 //! `OFTEC_THREADS`, and whether or not the result came from cache.
 
 use crate::cache::QuantizedCache;
+use crate::counters::ServeCounters;
 use crate::protocol::{error_cause, ErrBody, SolveKind, SolveSpec};
 use crate::queue::Job;
 use oftec::faults::{FaultKind, FaultyModel};
 use oftec::{
     CoolingSystem, InfeasibleReport, Oftec, OftecError, OftecOutcome, OftecSolution, SweepGrid,
 };
-use oftec_telemetry::Counter;
 use oftec_thermal::{
     CoolingModel, OperatingPoint, PackageConfig, ThermalError, ThermalSolution, TransientOptions,
     TransientTrace,
@@ -30,12 +30,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-pub static SERVE_BATCHES: Counter = Counter::new("serve.batches");
-pub static SERVE_BATCH_JOBS: Counter = Counter::new("serve.batch.jobs");
-pub static SERVE_BATCH_DEDUPED: Counter = Counter::new("serve.batch.deduped");
-pub static SERVE_PANICS: Counter = Counter::new("serve.panics");
-pub static SERVE_DEADLINE_EXCEEDED: Counter = Counter::new("serve.deadline_exceeded");
 
 /// Batches smaller than this solve inline on the dispatcher thread
 /// instead of fanning out to the scoped executor (whose spawn cost
@@ -234,6 +228,7 @@ fn internal(e: impl std::fmt::Display) -> ErrBody {
 
 /// The shared solve engine.
 pub struct Engine {
+    counters: Arc<ServeCounters>,
     registry: SystemRegistry,
     cache: Arc<QuantizedCache>,
     oftec: Oftec,
@@ -243,14 +238,16 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn new(
+    pub(crate) fn new(
         package: PackageConfig,
         cache: Arc<QuantizedCache>,
         threads: usize,
         fault: Option<FaultPlan>,
+        counters: Arc<ServeCounters>,
     ) -> Self {
         let scale_grid = cache.config().scale_grid;
         Self {
+            counters,
             registry: SystemRegistry {
                 package,
                 scale_grid,
@@ -268,8 +265,8 @@ impl Engine {
     /// Every job receives exactly one reply; a dropped receiver (client
     /// gone) is ignored.
     pub fn execute(&self, batch: Vec<Job>) {
-        SERVE_BATCHES.add(1);
-        SERVE_BATCH_JOBS.add(batch.len() as u64);
+        self.counters.batches.add(1);
+        self.counters.batch_jobs.add(batch.len() as u64);
         let now = Instant::now();
 
         // Group jobs into unique work items. `no_cache` jobs always get
@@ -284,7 +281,7 @@ impl Engine {
             // connection thread and this dequeue.
             job.trace.stage("queue");
             if job.deadline.is_some_and(|d| now >= d) {
-                SERVE_DEADLINE_EXCEEDED.add(1);
+                self.counters.deadline_exceeded.add(1);
                 job.trace.set_outcome("deadline");
                 let err = ErrBody::new("deadline_exceeded", "deadline expired while queued");
                 let trace = job.trace.clone();
@@ -312,7 +309,7 @@ impl Engine {
             }
             match by_key.get(&key) {
                 Some(&gi) => {
-                    SERVE_BATCH_DEDUPED.add(1);
+                    self.counters.batch_deduped.add(1);
                     job.trace.mark_deduped();
                     // Keep the loosest deadline so the shared solve is
                     // not cut short for the job with the most budget.
@@ -361,7 +358,7 @@ impl Engine {
             let (outcome, meta): (Result<String, ErrBody>, SolveMeta) = match result {
                 Ok(inner) => inner,
                 Err(panic) => {
-                    SERVE_PANICS.add(1);
+                    self.counters.panics.add(1);
                     (
                         Err(ErrBody::new(
                             "panic",
@@ -393,7 +390,7 @@ impl Engine {
                     job.trace.set_residual(r);
                 }
                 let reply = if job.deadline.is_some_and(|d| done >= d) {
-                    SERVE_DEADLINE_EXCEEDED.add(1);
+                    self.counters.deadline_exceeded.add(1);
                     job.trace.set_outcome("deadline");
                     Err(ErrBody::new(
                         "deadline_exceeded",
@@ -470,39 +467,27 @@ impl Engine {
         let system = self.registry.system(item.spec.benchmark, item.spec.scale);
         let reduced = system.reduced_tec_model();
         let base: &dyn CoolingModel = &reduced;
-        let fault_kind = self.fault.filter(|_| item.inject).map(|plan| plan.kind);
-        match (fault_kind, item.deadline) {
-            (None, None) => self.run_spec(&base, &system, &item.spec),
-            (None, Some(d)) => {
-                let dm = DeadlineModel::new(base, d);
-                let out = self.run_spec(&dm, &system, &item.spec);
-                if dm.fired() {
-                    SERVE_DEADLINE_EXCEEDED.add(1);
-                    return Err(ErrBody::new(
-                        "deadline_exceeded",
-                        "deadline expired mid-solve",
-                    ));
-                }
-                out
-            }
-            (Some(kind), None) => {
-                let fm = FaultyModel::new(&base, kind, 0);
-                self.run_spec(&fm, &system, &item.spec)
-            }
-            (Some(kind), Some(d)) => {
-                let fm = FaultyModel::new(&base, kind, 0);
-                let dm = DeadlineModel::new(&fm, d);
-                let out = self.run_spec(&dm, &system, &item.spec);
-                if dm.fired() {
-                    SERVE_DEADLINE_EXCEEDED.add(1);
-                    return Err(ErrBody::new(
-                        "deadline_exceeded",
-                        "deadline expired mid-solve",
-                    ));
-                }
-                out
-            }
+        let faulty = self
+            .fault
+            .filter(|_| item.inject)
+            .map(|plan| FaultyModel::new(&base, plan.kind, 0));
+        let model: &dyn CoolingModel = match &faulty {
+            Some(fm) => fm,
+            None => base,
+        };
+        let Some(d) = item.deadline else {
+            return self.run_spec(&model, &system, &item.spec);
+        };
+        let dm = DeadlineModel::new(model, d);
+        let out = self.run_spec(&dm, &system, &item.spec);
+        if dm.fired() {
+            self.counters.deadline_exceeded.add(1);
+            return Err(ErrBody::new(
+                "deadline_exceeded",
+                "deadline expired mid-solve",
+            ));
         }
+        out
     }
 
     fn run_spec<M: CoolingModel>(

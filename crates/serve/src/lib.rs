@@ -14,7 +14,7 @@
 //!   panic isolation.
 //! - **Quantized result cache** ([`cache`]): operating points rounded to
 //!   a configurable grid, LRU + TTL eviction, hit/miss/eviction counters
-//!   on the telemetry registry. Hits replay byte-identical payloads on
+//!   kept per server. Hits replay byte-identical payloads on
 //!   the connection thread, bypassing the queue entirely.
 //! - **Admission control** ([`server`], [`queue`]): a bounded queue with
 //!   explicit `overloaded` rejections, deadline-aware admission (jobs
@@ -33,6 +33,7 @@
 //! generator reporting latency percentiles into `BENCH_serve.json`).
 
 pub mod cache;
+mod counters;
 pub mod engine;
 pub mod protocol;
 pub mod queue;

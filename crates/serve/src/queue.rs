@@ -20,20 +20,14 @@
 //! queued job that is predicted to miss is evicted in favor of a live
 //! arrival rather than rejecting the newest request.
 
-use crate::engine::SERVE_DEADLINE_EXCEEDED;
+use crate::counters::ServeCounters;
 use crate::protocol::{ErrBody, SolveSpec};
 use crate::trace::TraceContext;
-use oftec_telemetry::Counter;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Jobs whose deadline expired while queued, purged at push/pop.
-pub static QUEUE_EXPIRED: Counter = Counter::new("serve.queue.expired");
-/// Queued jobs evicted (predicted to miss) to admit a live arrival.
-pub static QUEUE_EVICTED: Counter = Counter::new("serve.queue.evicted");
 
 /// What the engine sends back per job: the solve result plus the job's
 /// finished trace (stage stamps and outcome filled in by the engine).
@@ -83,23 +77,16 @@ pub struct JobQueue {
     /// sample yet). Fed by [`JobQueue::record_service`]; read by admission
     /// to predict whether a deadline can still be met.
     service_ewma_ns: AtomicU64,
-}
-
-/// Answers a job whose deadline cannot be met: closes its queue stage,
-/// sets the `deadline` outcome, and sends the typed rejection. The send
-/// never blocks (mpsc is unbounded), so calling this under the queue lock
-/// is safe.
-fn reply_deadline(mut job: Job, message: &str) {
-    SERVE_DEADLINE_EXCEEDED.add(1);
-    job.trace.stage("queue");
-    job.trace.set_outcome("deadline");
-    let err = ErrBody::new("deadline_exceeded", message.to_string());
-    let trace = job.trace.clone();
-    let _ = job.reply.send((Err(err), trace));
+    counters: Arc<ServeCounters>,
 }
 
 impl JobQueue {
-    pub fn new(capacity: usize, batch_max: usize, batch_window: Duration) -> Self {
+    pub(crate) fn new(
+        capacity: usize,
+        batch_max: usize,
+        batch_window: Duration,
+        counters: Arc<ServeCounters>,
+    ) -> Self {
         Self {
             capacity: capacity.max(1),
             batch_max: batch_max.max(1),
@@ -110,7 +97,21 @@ impl JobQueue {
             }),
             wake: Condvar::new(),
             service_ewma_ns: AtomicU64::new(0),
+            counters,
         }
+    }
+
+    /// Answers a job whose deadline cannot be met: closes its queue
+    /// stage, sets the `deadline` outcome, and sends the typed rejection.
+    /// The send never blocks (mpsc is unbounded), so calling this under
+    /// the queue lock is safe.
+    fn reply_deadline(&self, mut job: Job, message: &str) {
+        self.counters.deadline_exceeded.add(1);
+        job.trace.stage("queue");
+        job.trace.set_outcome("deadline");
+        let err = ErrBody::new("deadline_exceeded", message.to_string());
+        let trace = job.trace.clone();
+        let _ = job.reply.send((Err(err), trace));
     }
 
     /// Feeds one per-job service-time sample (dispatcher wall time divided
@@ -134,7 +135,7 @@ impl JobQueue {
 
     /// Removes every queued job whose deadline has already passed,
     /// answering each `deadline_exceeded`. Caller holds the state lock.
-    fn purge_expired(st: &mut State, now: Instant) {
+    fn purge_expired(&self, st: &mut State, now: Instant) {
         if st.jobs.iter().all(|j| j.deadline.is_none()) {
             return;
         }
@@ -142,8 +143,8 @@ impl JobQueue {
         while i < st.jobs.len() {
             if st.jobs[i].deadline.is_some_and(|d| now >= d) {
                 if let Some(job) = st.jobs.remove(i) {
-                    QUEUE_EXPIRED.add(1);
-                    reply_deadline(job, "deadline expired while queued");
+                    self.counters.queue_expired.add(1);
+                    self.reply_deadline(job, "deadline expired while queued");
                 }
             } else {
                 i += 1;
@@ -167,7 +168,7 @@ impl JobQueue {
             return Err((PushError::Closed, job));
         }
         let now = Instant::now();
-        Self::purge_expired(&mut st, now);
+        self.purge_expired(&mut st, now);
         let ewma = self.service_ewma_ns.load(Ordering::Relaxed);
         if let Some(d) = job.deadline {
             // Shed work that cannot finish in time: already expired, or
@@ -193,8 +194,8 @@ impl JobQueue {
                 .flatten();
             match victim.and_then(|i| st.jobs.remove(i)) {
                 Some(doomed) => {
-                    QUEUE_EVICTED.add(1);
-                    reply_deadline(
+                    self.counters.queue_evicted.add(1);
+                    self.reply_deadline(
                         doomed,
                         "deadline shed under load: predicted to expire queued",
                     );
@@ -220,8 +221,8 @@ impl JobQueue {
                 // Dequeue-side purge: a job that expired while queued is
                 // answered here instead of being handed to the engine.
                 if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                    QUEUE_EXPIRED.add(1);
-                    reply_deadline(job, "deadline expired while queued");
+                    self.counters.queue_expired.add(1);
+                    self.reply_deadline(job, "deadline expired while queued");
                     continue;
                 }
                 let mut batch = Vec::with_capacity(self.batch_max.min(8));
@@ -232,8 +233,8 @@ impl JobQueue {
                 while batch.len() < self.batch_max {
                     if let Some(next) = st.jobs.pop_front() {
                         if next.deadline.is_some_and(|d| Instant::now() >= d) {
-                            QUEUE_EXPIRED.add(1);
-                            reply_deadline(next, "deadline expired while queued");
+                            self.counters.queue_expired.add(1);
+                            self.reply_deadline(next, "deadline expired while queued");
                             continue;
                         }
                         batch.push(next);
@@ -289,7 +290,6 @@ mod tests {
     use crate::protocol::SolveKind;
     use oftec_power::Benchmark;
     use std::sync::mpsc;
-    use std::sync::Arc;
 
     fn job() -> (Job, mpsc::Receiver<JobReply>) {
         let (tx, rx) = mpsc::channel();
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_overload() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2, 8, Duration::from_millis(1), Arc::default());
         let (j1, _r1) = job();
         let (j2, _r2) = job();
         let (j3, _r3) = job();
@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn close_rejects_pushes_but_drains_queue() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8, 8, Duration::from_millis(1), Arc::default());
         let (j1, _r1) = job();
         q.try_push(j1).unwrap();
         q.close();
@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn batch_collects_queued_jobs() {
-        let q = JobQueue::new(8, 3, Duration::from_millis(50));
+        let q = JobQueue::new(8, 3, Duration::from_millis(50), Arc::default());
         let mut rxs = Vec::new();
         for _ in 0..5 {
             let (j, r) = job();
@@ -360,7 +360,12 @@ mod tests {
 
     #[test]
     fn pop_blocks_until_work_arrives() {
-        let q = Arc::new(JobQueue::new(8, 8, Duration::from_millis(1)));
+        let q = Arc::new(JobQueue::new(
+            8,
+            8,
+            Duration::from_millis(1),
+            Arc::default(),
+        ));
         let q2 = Arc::clone(&q);
         let t = std::thread::spawn(move || q2.pop_batch().map(|b| b.len()));
         std::thread::sleep(Duration::from_millis(20));
@@ -387,7 +392,7 @@ mod tests {
 
     #[test]
     fn expired_jobs_are_purged_at_push() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2, 8, Duration::from_millis(1), Arc::default());
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(2)));
         q.try_push(ja).unwrap();
         let (jb, _rb) = job();
@@ -396,18 +401,17 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         // The queue is nominally full, but the expired job is purged at
         // push — the live arrival is admitted, not rejected `overloaded`.
-        let before = QUEUE_EXPIRED.get();
         let (jc, _rc) = job();
         q.try_push(jc)
             .expect("purge must free the expired job's slot");
-        assert!(QUEUE_EXPIRED.get() > before);
+        assert_eq!(q.counters.queue_expired.get(), 1);
         expect_deadline_reply(&ra);
         assert_eq!(q.depth(), 2);
     }
 
     #[test]
     fn expired_jobs_are_purged_at_pop() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8, 8, Duration::from_millis(1), Arc::default());
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(2)));
         q.try_push(ja).unwrap();
         let (jb, _rb) = job();
@@ -423,7 +427,7 @@ mod tests {
 
     #[test]
     fn predicted_misses_are_shed_at_admission() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8, 8, Duration::from_millis(1), Arc::default());
         // Already-expired deadlines are shed outright, even with no
         // service-time estimate yet.
         let (ja, _ra) = job_with_deadline(Some(Instant::now() - Duration::from_millis(1)));
@@ -440,7 +444,7 @@ mod tests {
 
     #[test]
     fn full_queue_evicts_doomed_job_for_live_arrival() {
-        let q = JobQueue::new(2, 8, Duration::from_millis(1));
+        let q = JobQueue::new(2, 8, Duration::from_millis(1), Arc::default());
         // Admit a tight-deadline job while no service estimate exists...
         let (ja, ra) = job_with_deadline(Some(Instant::now() + Duration::from_millis(50)));
         q.try_push(ja).unwrap();
@@ -450,11 +454,10 @@ mod tests {
         // now predicted to miss, so a live arrival evicts it instead of
         // being rejected `overloaded`.
         q.record_service(60_000_000);
-        let before = QUEUE_EVICTED.get();
         let (jc, _rc) = job();
         q.try_push(jc)
             .expect("doomed job must be evicted for live work");
-        assert!(QUEUE_EVICTED.get() > before);
+        assert_eq!(q.counters.queue_evicted.get(), 1);
         expect_deadline_reply(&ra);
         assert_eq!(q.depth(), 2);
         // With nothing left to evict, a full queue still answers Full.
@@ -464,7 +467,7 @@ mod tests {
 
     #[test]
     fn service_ewma_converges_on_samples() {
-        let q = JobQueue::new(8, 8, Duration::from_millis(1));
+        let q = JobQueue::new(8, 8, Duration::from_millis(1), Arc::default());
         assert_eq!(q.service_estimate_ns(), 0);
         q.record_service(1000);
         assert_eq!(q.service_estimate_ns(), 1000);

@@ -21,12 +21,13 @@
 //! answered and flushed, and the final telemetry snapshot is written.
 
 use crate::cache::{CacheConfig, QuantizedCache};
-use crate::engine::{Engine, FaultPlan, SERVE_DEADLINE_EXCEEDED, SERVE_PANICS};
+use crate::counters::ServeCounters;
+use crate::engine::{Engine, FaultPlan};
 use crate::protocol::{self, error_cause, ErrBody, Request, SolveSpec};
 use crate::queue::{Job, JobQueue, PushError};
 use crate::trace::TraceContext;
 use oftec_telemetry as telemetry;
-use oftec_telemetry::{Counter, Field, FlightRecorder, Severity, SloMonitor, SloStatus};
+use oftec_telemetry::{Field, FlightRecorder, Severity, SloMonitor, SloStatus};
 use oftec_thermal::PackageConfig;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -35,23 +36,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-pub static SERVE_REQUESTS: Counter = Counter::new("serve.requests");
-pub static SERVE_RESPONSES_OK: Counter = Counter::new("serve.responses_ok");
-pub static SERVE_RESPONSES_ERR: Counter = Counter::new("serve.responses_err");
-pub static SERVE_CONNECTIONS: Counter = Counter::new("serve.connections");
-pub static SERVE_PROBES: Counter = Counter::new("serve.probes");
-pub static SERVE_OVERLOADED: Counter = Counter::new("serve.overloaded");
-pub static SERVE_SPAWN_FAILURES: Counter = Counter::new("serve.worker_spawn_failures");
-
-// Typed per-cause error counters: `serve.responses_err` equals their sum,
-// so a bench report never contains an opaque `failed` bucket.
-pub static SERVE_ERR_PARSE: Counter = Counter::new("serve.errors.parse");
-pub static SERVE_ERR_OVERLOAD: Counter = Counter::new("serve.errors.overload");
-pub static SERVE_ERR_DEADLINE: Counter = Counter::new("serve.errors.deadline");
-pub static SERVE_ERR_SOLVER: Counter = Counter::new("serve.errors.solver");
-pub static SERVE_ERR_PANIC: Counter = Counter::new("serve.errors.panic");
-pub static SERVE_ERR_INTERNAL: Counter = Counter::new("serve.errors.internal");
 
 /// Request latency histogram bounds (microseconds).
 static LATENCY_BOUNDS: &[u64] = &[
@@ -228,6 +212,7 @@ impl ServerHandle {
 }
 
 struct Shared {
+    counters: Arc<ServeCounters>,
     engine: Engine,
     cache: Arc<QuantizedCache>,
     queue: JobQueue,
@@ -276,11 +261,25 @@ impl Server {
         } else {
             config.threads
         };
-        let cache = Arc::new(QuantizedCache::new(config.cache.clone()));
+        let counters = Arc::new(ServeCounters::default());
+        let cache = QuantizedCache::with_counters(config.cache.clone(), Arc::clone(&counters));
+        let cache = Arc::new(cache);
         let shared = Arc::new(Shared {
-            engine: Engine::new(package, Arc::clone(&cache), threads, config.fault),
+            engine: Engine::new(
+                package,
+                Arc::clone(&cache),
+                threads,
+                config.fault,
+                Arc::clone(&counters),
+            ),
             cache,
-            queue: JobQueue::new(config.queue_capacity, config.batch_max, config.batch_window),
+            queue: JobQueue::new(
+                config.queue_capacity,
+                config.batch_max,
+                config.batch_window,
+                Arc::clone(&counters),
+            ),
+            counters,
             stop: Arc::new(AtomicBool::new(false)),
             connections: AtomicUsize::new(0),
             workers: AtomicUsize::new(0),
@@ -351,7 +350,6 @@ impl Server {
             std::thread::Builder::new()
                 .name("serve-dispatch".into())
                 .spawn(move || {
-                    telemetry::set_collecting(true);
                     while let Some(batch) = shared.queue.pop_batch() {
                         let jobs = batch.len() as u64;
                         let t0 = Instant::now();
@@ -376,9 +374,10 @@ impl Server {
                 Err(std::io::Error::other("injected worker spawn failure"))
             } else {
                 std::thread::Builder::new()
-                    .name(format!("serve-shard-{i}"))
+                    // The port tells this server's shards from another's in
+                    // the process; the name fits the 15-byte OS limit.
+                    .name(format!("shard-{}-{i}", self.local_addr.port()))
                     .spawn(move || {
-                        telemetry::set_collecting(true);
                         worker_loop(&shared, &rx);
                         telemetry::flush();
                     })
@@ -390,7 +389,7 @@ impl Server {
                     workers.push(handle);
                 }
                 Err(e) => {
-                    SERVE_SPAWN_FAILURES.add(1);
+                    self.shared.counters.spawn_failures.add(1);
                     telemetry::event(
                         Severity::Warn,
                         "serve.worker_spawn_failed",
@@ -445,7 +444,7 @@ impl Server {
         self.shared.queue.close();
         let dispatcher_panicked = dispatcher.join().is_err();
         if dispatcher_panicked {
-            SERVE_PANICS.add(1);
+            self.shared.counters.panics.add(1);
             telemetry::event(Severity::Warn, "serve.dispatcher_panicked", &[]);
         }
         drop(senders);
@@ -453,7 +452,7 @@ impl Server {
             // Joining (instead of detaching) is what surfaces worker
             // panics; a panicking worker is counted, not silently lost.
             if w.join().is_err() {
-                SERVE_PANICS.add(1);
+                self.shared.counters.panics.add(1);
                 telemetry::event(
                     Severity::Warn,
                     "serve.worker_panicked",
@@ -465,8 +464,7 @@ impl Server {
 
         telemetry::flush();
         if let Some(path) = &self.config.telemetry_json {
-            let snap = authoritative_snapshot();
-            std::fs::write(path, snap.to_json())?;
+            std::fs::write(path, self.shared.counters.snapshot().to_json())?;
         }
         if pool_empty {
             return Err(std::io::Error::other(
@@ -475,41 +473,6 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Global snapshot with the serve counters overwritten by their exact
-/// atomic values — thread-local flush timing never understates them.
-fn authoritative_snapshot() -> telemetry::Snapshot {
-    let mut snap = telemetry::snapshot();
-    for c in [
-        &SERVE_REQUESTS,
-        &SERVE_RESPONSES_OK,
-        &SERVE_RESPONSES_ERR,
-        &SERVE_CONNECTIONS,
-        &SERVE_PROBES,
-        &SERVE_OVERLOADED,
-        &SERVE_SPAWN_FAILURES,
-        &SERVE_ERR_PARSE,
-        &SERVE_ERR_OVERLOAD,
-        &SERVE_ERR_DEADLINE,
-        &SERVE_ERR_SOLVER,
-        &SERVE_ERR_PANIC,
-        &SERVE_ERR_INTERNAL,
-        &SERVE_PANICS,
-        &crate::engine::SERVE_BATCHES,
-        &crate::engine::SERVE_BATCH_JOBS,
-        &crate::engine::SERVE_BATCH_DEDUPED,
-        &crate::engine::SERVE_DEADLINE_EXCEEDED,
-        &crate::queue::QUEUE_EXPIRED,
-        &crate::queue::QUEUE_EVICTED,
-        &crate::cache::CACHE_HITS,
-        &crate::cache::CACHE_MISSES,
-        &crate::cache::CACHE_EVICTIONS,
-        &crate::cache::CACHE_EXPIRED,
-    ] {
-        snap.counters.insert(c.name(), c.get());
-    }
-    snap
 }
 
 /// Restores the live-connection gauge when a connection ends **for any
@@ -613,14 +576,14 @@ impl ConnState {
         !self.dead && (!self.eof || !self.flushed())
     }
 
-    fn count_workload(&mut self) {
-        SERVE_REQUESTS.add(1);
+    fn count_workload(&mut self, counters: &ServeCounters) {
+        counters.requests.add(1);
         // `serve.connections` counts connections that carried workload:
         // bumped on the first non-probe request, so a load generator's
         // health/metrics side channel never inflates it.
         if !self.counted {
             self.counted = true;
-            SERVE_CONNECTIONS.add(1);
+            counters.connections.add(1);
         }
     }
 
@@ -704,7 +667,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &mpsc::Receiver<NewConn>) {
                 Err(_) => {
                     // Satellite fix: the panic is observed and the gauge
                     // guard inside ConnState restores `connections`.
-                    SERVE_PANICS.add(1);
+                    shared.counters.panics.add(1);
                     telemetry::event(
                         Severity::Warn,
                         "serve.connection_panicked",
@@ -911,7 +874,7 @@ fn handle_message(shared: &Arc<Shared>, conn: &mut ConnState, msg: Msg) {
 /// Answers an oversized request line as a typed workload error.
 fn oversized(shared: &Arc<Shared>, conn: &mut ConnState, err: ErrBody) {
     conn.workload_seq += 1;
-    conn.count_workload();
+    conn.count_workload(&shared.counters);
     let mut trace = TraceContext::new(conn.conn_id, conn.workload_seq);
     trace.stage("parse");
     trace.set_outcome(error_cause(err.kind));
@@ -950,7 +913,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, parsed: Parsed) {
     let is_shutdown = matches!(&parsed, Ok((_, Request::Shutdown)));
     match parsed {
         Ok((id, request)) if is_probe => {
-            SERVE_PROBES.add(1);
+            shared.counters.probes.add(1);
             let envelope = handle_probe(shared, id, &request);
             conn.push_ready(&envelope);
             if is_shutdown {
@@ -961,7 +924,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, parsed: Parsed) {
         }
         Ok((id, request)) => {
             conn.workload_seq += 1;
-            conn.count_workload();
+            conn.count_workload(&shared.counters);
             match request {
                 Request::Optimize { spec } | Request::Steady { spec } | Request::Sweep { spec } => {
                     handle_solve(shared, conn, id, spec, trace);
@@ -978,7 +941,7 @@ fn dispatch_parsed(shared: &Arc<Shared>, conn: &mut ConnState, parsed: Parsed) {
         }
         Err((id, err)) => {
             conn.workload_seq += 1;
-            conn.count_workload();
+            conn.count_workload(&shared.counters);
             trace.set_outcome(error_cause(err.kind));
             finish_workload(shared, &trace);
             let envelope = protocol::err_line_traced(id, &trace.envelope_json(false), &err);
@@ -1005,12 +968,10 @@ fn handle_probe(shared: &Shared, id: Option<u64>, request: &Request) -> String {
             protocol::ok_line(id, false, &payload)
         }
         Request::Metrics { prometheus: false } => {
-            telemetry::flush();
-            protocol::ok_line(id, false, &authoritative_snapshot().to_json())
+            protocol::ok_line(id, false, &shared.counters.snapshot().to_json())
         }
         Request::Metrics { prometheus: true } => {
-            telemetry::flush();
-            let text = telemetry::to_prometheus(&authoritative_snapshot());
+            let text = telemetry::to_prometheus(&shared.counters.snapshot());
             protocol::ok_line(id, false, &protocol::escape_json(&text))
         }
         Request::Trace { limit, redact } => {
@@ -1104,7 +1065,7 @@ fn handle_solve(
             // Deadline-aware admission: the queue predicts this job
             // cannot finish in time, so it is shed as a deadline error —
             // not as overload — without occupying a slot.
-            SERVE_DEADLINE_EXCEEDED.add(1);
+            shared.counters.deadline_exceeded.add(1);
             job.trace.stage("queue");
             job.trace.set_outcome("deadline");
             finish_workload(shared, &job.trace);
@@ -1116,7 +1077,7 @@ fn handle_solve(
             conn.push_ready(&envelope);
         }
         Err((PushError::Full, mut job)) => {
-            SERVE_OVERLOADED.add(1);
+            shared.counters.overloaded.add(1);
             job.trace.set_outcome("overload");
             finish_workload(shared, &job.trace);
             let err = ErrBody::new("overloaded", "request queue is full; retry later");
@@ -1148,17 +1109,17 @@ fn handle_solve(
 fn finish_workload(shared: &Shared, trace: &TraceContext) {
     let outcome = trace.outcome();
     if trace.is_err() {
-        SERVE_RESPONSES_ERR.add(1);
+        shared.counters.responses_err.add(1);
         match outcome {
-            "parse" => SERVE_ERR_PARSE.add(1),
-            "overload" => SERVE_ERR_OVERLOAD.add(1),
-            "deadline" => SERVE_ERR_DEADLINE.add(1),
-            "panic" => SERVE_ERR_PANIC.add(1),
-            "internal" => SERVE_ERR_INTERNAL.add(1),
-            _ => SERVE_ERR_SOLVER.add(1),
+            "parse" => shared.counters.err_parse.add(1),
+            "overload" => shared.counters.err_overload.add(1),
+            "deadline" => shared.counters.err_deadline.add(1),
+            "panic" => shared.counters.err_panic.add(1),
+            "internal" => shared.counters.err_internal.add(1),
+            _ => shared.counters.err_solver.add(1),
         }
     } else {
-        SERVE_RESPONSES_OK.add(1);
+        shared.counters.responses_ok.add(1);
     }
     telemetry::histogram_record("serve.latency_us", LATENCY_BOUNDS, trace.total_us());
     for (stage, hist) in [

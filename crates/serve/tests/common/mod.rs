@@ -153,16 +153,6 @@ pub fn result_json(line: &str) -> String {
     line[start..end].to_string()
 }
 
-/// Serializes tests that assert on global telemetry counters: the
-/// counters are process-wide statics, so concurrent tests would see each
-/// other's increments. Assert *deltas* against a baseline while holding
-/// this guard.
-pub fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Counter value from a `metrics` response (0 when absent).
 pub fn counter(metrics_line: &str, name: &str) -> u64 {
     let env = envelope(metrics_line);

@@ -42,10 +42,8 @@ fn steady_reference(rpm: f64) -> String {
 
 #[test]
 fn every_third_solve_panics_deterministically_and_server_survives() {
-    let _guard = counter_lock();
     let server = TestServer::start(faulty_config(FaultKind::Panic, 3));
     let mut conn = Conn::open(server.addr);
-    let baseline = counter(&conn.request(r#"{"cmd":"metrics"}"#), "serve.panics");
     // Sequential requests → one executor item each → the fault sequence
     // is exactly 1..=9, so items 3, 6, 9 inject.
     let responses: Vec<(f64, String)> = (1..=9u64)
@@ -70,7 +68,7 @@ fn every_third_solve_panics_deterministically_and_server_survives() {
     }
     // The panics were contained and counted; the server is still healthy.
     let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert_eq!(counter(&metrics, "serve.panics") - baseline, 3);
+    assert_eq!(counter(&metrics, "serve.panics"), 3);
     assert!(is_ok(&conn.request(r#"{"cmd":"health"}"#)));
     server.stop();
 }
@@ -79,16 +77,11 @@ fn every_third_solve_panics_deterministically_and_server_survives() {
 fn panic_mid_batch_only_fails_the_affected_requests() {
     // A wide batch window coalesces the concurrent burst into shared
     // batches, so injected panics land mid-batch.
-    let _guard = counter_lock();
     let server = TestServer::start(ServeConfig {
         batch_window: Duration::from_millis(25),
         batch_max: 16,
         ..faulty_config(FaultKind::Panic, 3)
     });
-    let baseline = {
-        let mut conn = Conn::open(server.addr);
-        counter(&conn.request(r#"{"cmd":"metrics"}"#), "serve.panics")
-    };
     let responses: Vec<(f64, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..=9u64)
             .map(|i| {
@@ -125,16 +118,14 @@ fn panic_mid_batch_only_fails_the_affected_requests() {
     }
     let mut conn = Conn::open(server.addr);
     let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert_eq!(counter(&metrics, "serve.panics") - baseline, 3);
+    assert_eq!(counter(&metrics, "serve.panics"), 3);
     server.stop();
 }
 
 #[test]
 fn injected_errors_become_typed_thermal_responses() {
-    let _guard = counter_lock();
     let server = TestServer::start(faulty_config(FaultKind::Error, 1));
     let mut conn = Conn::open(server.addr);
-    let baseline = counter(&conn.request(r#"{"cmd":"metrics"}"#), "serve.panics");
     for i in 0..3u64 {
         let resp = conn.request(&steady_line(2500.0 + 50.0 * i as f64, i));
         assert!(!is_ok(&resp));
@@ -146,7 +137,7 @@ fn injected_errors_become_typed_thermal_responses() {
     }
     // Errors are not panics.
     let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert_eq!(counter(&metrics, "serve.panics"), baseline);
+    assert_eq!(counter(&metrics, "serve.panics"), 0);
     server.stop();
 }
 

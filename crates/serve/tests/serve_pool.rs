@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{counter, counter_lock, envelope, field, is_ok, test_config, Conn, TestServer};
+use common::{counter, envelope, field, is_ok, test_config, Conn, TestServer};
 use oftec_serve::Server;
 use std::time::{Duration, Instant};
 
@@ -19,13 +19,11 @@ fn health_field(conn: &mut Conn, name: &str) -> f64 {
 
 #[test]
 fn panicking_connection_is_contained_and_gauge_restored() {
-    let _guard = counter_lock();
     let mut config = test_config();
     config.panic_token = Some("BOOM".into());
     let server = TestServer::start(config);
 
     let mut probe = Conn::open(server.addr);
-    let panics_before = counter(&probe.request(r#"{"cmd":"metrics"}"#), "serve.panics");
 
     // The poisoned connection dies; the server (and this probe
     // connection) must not.
@@ -37,10 +35,10 @@ fn panicking_connection_is_contained_and_gauge_restored() {
 
     // The panic was observed and the `connections` gauge restored —
     // the old server leaked one gauge slot per panicking connection.
-    let panics_after = counter(&probe.request(r#"{"cmd":"metrics"}"#), "serve.panics");
-    assert!(
-        panics_after > panics_before,
-        "serve.panics must count the contained panic ({panics_before} -> {panics_after})"
+    assert_eq!(
+        counter(&probe.request(r#"{"cmd":"metrics"}"#), "serve.panics"),
+        1,
+        "serve.panics must count the contained panic"
     );
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
@@ -66,7 +64,6 @@ fn panicking_connection_is_contained_and_gauge_restored() {
 
 #[test]
 fn spawn_failures_lose_workers_not_the_server() {
-    let _guard = counter_lock();
     let mut config = test_config();
     config.conn_workers = 3;
     config.fail_worker_spawns = 2;
@@ -74,8 +71,9 @@ fn spawn_failures_lose_workers_not_the_server() {
 
     let mut conn = Conn::open(server.addr);
     let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert!(
-        counter(&metrics, "serve.worker_spawn_failures") >= 2,
+    assert_eq!(
+        counter(&metrics, "serve.worker_spawn_failures"),
+        2,
         "failed spawns must be counted"
     );
     assert!((health_field(&mut conn, "workers") - 1.0).abs() < f64::EPSILON);
@@ -135,14 +133,16 @@ fn worker_pool_bounds_threads_under_connection_burst() {
     assert!((health_field(&mut probe, "workers") - 2.0).abs() < f64::EPSILON);
 
     // The whole point of the pool: connection count must not mint
-    // threads. Count live serve-shard threads directly.
+    // threads. Count this server's live shard threads directly; their
+    // names carry its port, so sibling tests' servers are not counted.
     #[cfg(target_os = "linux")]
     {
+        let prefix = format!("shard-{}-", server.addr.port());
         let mut shard_threads = 0;
         for entry in std::fs::read_dir("/proc/self/task").expect("proc") {
             let comm = entry.expect("task").path().join("comm");
             if let Ok(name) = std::fs::read_to_string(comm) {
-                if name.trim_end().starts_with("serve-shard") {
+                if name.starts_with(&prefix) {
                     shard_threads += 1;
                 }
             }

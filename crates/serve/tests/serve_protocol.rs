@@ -197,7 +197,7 @@ fn repeat_requests_hit_the_cache_with_identical_payloads() {
 
     // The metrics endpoint sees the hits.
     let metrics = conn.request(r#"{"cmd":"metrics"}"#);
-    assert!(counter(&metrics, "serve.cache.hits") >= 2);
+    assert_eq!(counter(&metrics, "serve.cache.hits"), 2);
     assert_eq!(counter(&metrics, "serve.panics"), 0);
     server.stop();
 }

@@ -41,7 +41,6 @@ fn trace_field_str(line: &str, key: &str) -> String {
 
 #[test]
 fn workload_responses_carry_trace_metadata() {
-    let _guard = counter_lock();
     let server = TestServer::start(test_config());
     let mut conn = Conn::open(server.addr);
 
@@ -96,7 +95,6 @@ fn workload_responses_carry_trace_metadata() {
 /// attribution never depends on scheduling.
 #[test]
 fn flight_recorder_is_deterministic_across_thread_counts() {
-    let _guard = counter_lock();
     let run = |threads: usize| -> (Vec<String>, String) {
         let server = TestServer::start(ServeConfig {
             threads,
@@ -148,16 +146,8 @@ fn flight_recorder_is_deterministic_across_thread_counts() {
 /// never make the server's ok-count disagree with the client's.
 #[test]
 fn probes_never_touch_workload_response_counters() {
-    let _guard = counter_lock();
     let server = TestServer::start(test_config());
     let mut conn = Conn::open(server.addr);
-    let baseline = conn.request(r#"{"cmd":"metrics"}"#);
-    let (ok0, err0, req0, probes0) = (
-        counter(&baseline, "serve.responses_ok"),
-        counter(&baseline, "serve.responses_err"),
-        counter(&baseline, "serve.requests"),
-        counter(&baseline, "serve.probes"),
-    );
     // Probe flurry + exactly one workload request.
     conn.request(r#"{"cmd":"health"}"#);
     conn.request(r#"{"cmd":"metrics","format":"prometheus"}"#);
@@ -167,25 +157,56 @@ fn probes_never_touch_workload_response_counters() {
     assert!(is_ok(&solve));
     let after = conn.request(r#"{"cmd":"metrics"}"#);
     assert_eq!(
-        counter(&after, "serve.responses_ok") - ok0,
+        counter(&after, "serve.responses_ok"),
         1,
         "exactly the one workload response counts as ok"
     );
-    assert_eq!(counter(&after, "serve.responses_err") - err0, 0);
+    assert_eq!(counter(&after, "serve.responses_err"), 0);
     assert_eq!(
-        counter(&after, "serve.requests") - req0,
+        counter(&after, "serve.requests"),
         1,
         "probes are not workload requests"
     );
-    // The four probes plus the `after` metrics call itself (the baseline
-    // call's increment is already inside the baseline reading).
-    assert_eq!(counter(&after, "serve.probes") - probes0, 5);
+    // The four probes plus the `after` metrics call itself.
+    assert_eq!(counter(&after, "serve.probes"), 5);
     server.stop();
+}
+
+/// Counters belong to the server that counted them: two servers alive in
+/// one process, fed different traffic, each report exactly their own.
+#[test]
+fn two_servers_in_one_process_report_their_own_counters() {
+    let a = TestServer::start(test_config());
+    let b = TestServer::start(test_config());
+    let mut conn_a = Conn::open(a.addr);
+    let mut conn_b = Conn::open(b.addr);
+    // A: one miss, then two hits on the same point. B: one miss, one
+    // malformed request and a health probe, interleaved with A's traffic.
+    assert!(is_ok(&conn_a.request(&steady_line(3050.0, 1.2, 1))));
+    assert!(is_ok(&conn_b.request(&steady_line(3050.0, 1.2, 1))));
+    assert!(cached_flag(&conn_a.request(&steady_line(3050.0, 1.2, 2))));
+    assert_eq!(error_kind(&conn_b.request("{not json")), "bad_request");
+    assert!(cached_flag(&conn_a.request(&steady_line(3050.0, 1.2, 3))));
+    assert!(is_ok(&conn_b.request(r#"{"cmd":"health"}"#)));
+
+    // Each `metrics` call counts itself as a probe.
+    let metrics_a = conn_a.request(r#"{"cmd":"metrics"}"#);
+    let metrics_b = conn_b.request(r#"{"cmd":"metrics"}"#);
+    for (name, want_a, want_b) in [
+        ("serve.requests", 3, 2),
+        ("serve.responses_ok", 3, 1),
+        ("serve.cache.hits", 2, 0),
+        ("serve.probes", 1, 2),
+    ] {
+        assert_eq!(counter(&metrics_a, name), want_a, "server A {name}");
+        assert_eq!(counter(&metrics_b, name), want_b, "server B {name}");
+    }
+    a.stop();
+    b.stop();
 }
 
 #[test]
 fn slo_endpoint_reports_all_monitors_and_fault_bursts_breach() {
-    let _guard = counter_lock();
     let server = TestServer::start(ServeConfig {
         fault: Some(FaultPlan {
             kind: FaultKind::Error,
